@@ -19,7 +19,7 @@ from .core import (
     transitive_closure,
     transitive_reduction,
 )
-from .indexstructs import DuplicateColumn, OverflowDetected, ProductTree, SumTree
+from .indexstructs import DuplicateColumn, ProductTree, SumTree
 from .trees import (
     CornerTree,
     SNPolytree,

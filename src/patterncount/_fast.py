@@ -1,4 +1,4 @@
-"""Vectorized counting paths for large permutations.
+"""Vectorized counting paths for the block decomposition.
 
 These compute exactly the same integers as the streaming code in gen3214,
 reorganized so numpy does the work:
@@ -12,12 +12,19 @@ reorganized so numpy does the work:
   broadcast arrays; the one term whose corners fall outside the candidate's
   blocks is deferred into a single offline dominance batch.
 
-Everything runs in int64 with explicit bound checks; Int64Risk signals the
-caller to rerun on the exact Python path.
+Counts live in ring arithmetic, so they are exact on every input.  Only
+positions and values are ever compared; a count only meets +, -, * and
+cumsum, which in int64 wrap modulo 2^64.  A pass therefore first runs in
+that natural ring.  When the caller's a-priori bound on the count reaches
+2^64, the pass runs once more modulo each prime below 2^31 that the bound
+requires, and the residues are combined by the Chinese remainder theorem.
+A prime pass keeps its values reduced below p after every product and after
+every cumsum that feeds one, so no int64 intermediate reaches 2^63.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -25,11 +32,58 @@ import numpy as np
 from .core import Permutation
 from .trees import CornerTree
 
-_CAP = 1 << 62
+_WRAP = 1 << 64  # the int64 ring, which reduces by wrapping around
+_PRIME_CEILING = 1 << 31
 
 
+# Never raised, since every pass is exact; kept for callers that still name it.
 class Int64Risk(Exception):
-    """A step could exceed int64; redo the computation exactly."""
+    pass
+
+
+@lru_cache(maxsize=None)
+def _prime_below(c: int) -> int:
+    """Largest prime below c, by trial division (once per process)."""
+    c -= 1
+    while any(c % d == 0 for d in range(2, math.isqrt(c) + 1)):
+        c -= 1
+    return c
+
+
+def _moduli(bound: int) -> tuple[int, ...]:
+    """2^64, then the primes below 2^31 whose product with it exceeds bound."""
+    moduli = [_WRAP]
+    product, prime = _WRAP, _PRIME_CEILING
+    while product <= bound:
+        prime = _prime_below(prime)
+        moduli.append(prime)
+        product *= prime
+    return tuple(moduli)
+
+
+def _crt(residues: list[int], moduli: tuple[int, ...]) -> int:
+    """The integer in [0, prod(moduli)) with the given residues (Garner)."""
+    x, mod = 0, 1
+    for r, q in zip(residues, moduli):
+        x += mod * ((r - x) * pow(mod, -1, q) % q)
+        mod *= q
+    return x
+
+
+def _in_rings(pass_fn, bound: int, *args) -> int:
+    """pass_fn's count, given that it lies in [0, bound]."""
+    moduli = _moduli(bound)
+    return _crt([pass_fn(*args, q) for q in moduli], moduli)
+
+
+def _mod(a: np.ndarray, q: int) -> np.ndarray:
+    """Reduce into [0, q) in a prime ring; the int64 ring wraps by itself."""
+    return a if q == _WRAP else a % q
+
+
+def _prefix_sums(x: np.ndarray, q: int) -> np.ndarray:
+    """[0, x0, x0 + x1, ...], reduced."""
+    return _mod(np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(x)]), q)
 
 
 def _run_length(size: int) -> int:
@@ -103,14 +157,13 @@ class _SplitSchedule:
         """dominance_smaller for x identically one."""
         return self._ones[:self.t].copy()
 
-    def dominance_smaller(self, x: np.ndarray) -> np.ndarray:
-        """z[i] = sum of x[j] over j < i with key[j] < key[i]."""
+    def dominance_smaller(self, x: np.ndarray, q: int) -> np.ndarray:
+        """z[i] = sum of x[j] over j < i with key[j] < key[i], in the ring
+        of modulus q; x must be reduced.
+        """
         t, size, run = self.t, self.size, self.run
         if t == 0:
             return np.zeros(0, dtype=np.int64)
-        mx = int(x.max())
-        if mx and mx * t >= _CAP:
-            raise Int64Risk
         xp = np.zeros(size, dtype=np.int64)
         xp[:t] = x
         z = np.zeros(size, dtype=np.int64)
@@ -132,7 +185,8 @@ class _SplitSchedule:
         kernel = (o[:, :, None] < o[:, None, :]) & _upper_tri(run)
         xr = xp.take(order).reshape(o.shape)
         z[order] += np.einsum("rji,rj->ri", kernel, xr).ravel()
-        return z[:t]
+        # Each z[i] sums fewer than t reduced values, so it stays below t * q.
+        return _mod(z[:t], q)
 
 
 def _partition(order, left, left_rank, half, runbase, pos_in_run):
@@ -143,36 +197,32 @@ def _partition(order, left, left_rank, half, runbase, pos_in_run):
     return new_order
 
 
-def _checked_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) and int(a.max()) * max(int(b.max()), 1) >= _CAP:
-        raise Int64Risk
-    return a * b
-
-
-def _tree_values(tree: CornerTree, schedule: _SplitSchedule, t: int,
+def _tree_values(tree: CornerTree, schedule: _SplitSchedule, t: int, q: int,
                  node=None) -> np.ndarray | None:
-    """Placement counts of each subtree with its root at each sequence point.
+    """Placement counts of each subtree with its root at each sequence point,
+    reduced.
 
     Returns None for leaves, meaning "identically one".
     """
     node = tree.root if node is None else node
     x = None
     for child, label in tree.children(node):
-        xc = _tree_values(tree, schedule, t, child)
+        xc = _tree_values(tree, schedule, t, q, child)
         if xc is None:
             z_sw = schedule.ones_smaller()
             z = z_sw if label == "SW" else \
                 np.arange(t, dtype=np.int64) - z_sw
         else:
-            z_sw = schedule.dominance_smaller(xc)
+            z_sw = schedule.dominance_smaller(xc, q)
             z = z_sw if label == "SW" else \
-                (np.cumsum(xc) - xc) - z_sw
-        x = z if x is None else _checked_mul(x, z)
+                _mod((np.cumsum(xc) - xc) - z_sw, q)
+        x = z if x is None else _mod(x * z, q)
     return x
 
 
-def _root_values(tree: CornerTree, schedule: _SplitSchedule, t: int) -> np.ndarray:
-    x = _tree_values(tree, schedule, t)
+def _root_values(tree: CornerTree, schedule: _SplitSchedule, t: int,
+                 q: int) -> np.ndarray:
+    x = _tree_values(tree, schedule, t, q)
     return np.ones(t, dtype=np.int64) if x is None else x
 
 
@@ -187,14 +237,13 @@ def _merge_sorted(base: np.ndarray, extra_sorted: np.ndarray) -> np.ndarray:
     return np.insert(base, np.searchsorted(base, extra_sorted), extra_sorted)
 
 
-def _gather_sum(croots: np.ndarray, idx: np.ndarray) -> int:
-    picked = croots[idx]
-    if len(picked) and int(picked.max()) * len(picked) >= _CAP:
-        return sum(int(v) for v in picked)
-    return int(picked.sum())
+def count_type_a(pi: Permutation, west_tree: CornerTree, m: int,
+                 bound: int) -> int:
+    """The type-A count, given that it is at most bound."""
+    return _in_rings(_type_a, bound, pi, west_tree, m)
 
 
-def count_type_a(pi: Permutation, west_tree: CornerTree, m: int) -> int:
+def _type_a(pi: Permutation, west_tree: CornerTree, m: int, q: int) -> int:
     n = pi.n
     p, ip = _perm_arrays(pi)
     total = 0
@@ -202,16 +251,20 @@ def count_type_a(pi: Permutation, west_tree: CornerTree, m: int) -> int:
     for r in range(m, n, m):
         gpos = _merge_sorted(gpos, np.sort(ip[r - m:r]))
         schedule = _SplitSchedule(p[gpos])
-        roots = _root_values(west_tree, schedule, len(gpos))
-        if len(roots) and int(roots.max()) * len(roots) >= _CAP:
-            raise Int64Risk
-        croots = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(roots)])
+        croots = _prefix_sums(_root_values(west_tree, schedule, len(gpos), q), q)
         cand = ip[r:min(r + m, n)]
-        total += _gather_sum(croots, np.searchsorted(gpos, cand))
+        total += int(croots[np.searchsorted(gpos, cand)].sum())
     return total
 
 
-def count_type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int) -> int:
+def count_type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int,
+                       bound: int) -> int:
+    """The type-B-not-A count, given that it is at most bound."""
+    return _in_rings(_type_b_not_a, bound, pi, inv_west_tree, m)
+
+
+def _type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int,
+                  q: int) -> int:
     n = pi.n
     p, ip = _perm_arrays(pi)
     total = 0
@@ -219,47 +272,40 @@ def count_type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int) -> in
     for c in range(m, n, m):
         gs = _merge_sorted(gs, np.sort(p[c - m:c]))
         schedule = _SplitSchedule(ip[gs])
-        roots = _root_values(inv_west_tree, schedule, len(gs))
-        if len(roots) and int(roots.max()) * len(roots) >= _CAP:
-            raise Int64Risk
-        croots = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(roots)])
+        croots = _prefix_sums(_root_values(inv_west_tree, schedule, len(gs), q), q)
         cand = p[c:min(c + m, n)]
-        hi = _gather_sum(croots, np.searchsorted(gs, cand))
-        lo = _gather_sum(croots, np.searchsorted(gs, cand - cand % m))
+        hi = int(croots[np.searchsorted(gs, cand)].sum())
+        lo = int(croots[np.searchsorted(gs, cand - cand % m)].sum())
         total += hi - lo
     return total
 
 
-def count_box(pi: Permutation, dec, m: int) -> int:
+def count_box(pi: Permutation, dec, m: int, bound: int) -> int:
+    """The box count, given that it is at most bound."""
+    return _in_rings(_box, bound, pi, dec, m)
+
+
+def _box(pi: Permutation, dec, m: int, q: int) -> int:
     n = pi.n
     p, ip = _perm_arrays(pi)
     full = _SplitSchedule(p)
 
-    def point_products(trees) -> tuple[np.ndarray, int]:
+    def point_products(trees) -> np.ndarray:
         prod = np.ones(n, dtype=np.int64)
         for tree in trees:
-            weights = _root_values(tree, full, n)
-            prod = _checked_mul(prod, full.dominance_smaller(weights))
-        return prod, (int(prod.max()) if n else 0)
+            weights = _root_values(tree, full, n, q)
+            prod = _mod(prod * full.dominance_smaller(weights, q), q)
+        return prod
 
-    d3, max3 = point_products(dec.dangle3_trees)
-    d1, max1 = point_products(dec.dangle1_trees)
+    d3 = point_products(dec.dangle3_trees)
+    d1 = point_products(dec.dangle1_trees)
 
     two_absent = dec.dangle2_tree is None
     if two_absent:
         w2 = g3 = None
-        maxb2 = 1
     else:
-        w2 = _root_values(dec.dangle2_tree, full, n)
-        maxw2 = int(w2.max()) if n else 0
-        if maxw2 * max(n, 1) >= _CAP:
-            raise Int64Risk
-        g3 = full.dominance_smaller(w2)
-        maxb2 = maxw2 * n
-    # Loose global bound: every per-pair contribution and the final total
-    # must stay well inside int64.
-    if max3 * max1 * max(maxb2, 1) * m * m * max(n, 1) >= _CAP:
-        raise Int64Risk
+        w2 = _root_values(dec.dangle2_tree, full, n, q)
+        g3 = full.dominance_smaller(w2, q)
 
     total = 0
     sv = np.empty(0, dtype=np.int64)     # values of points west of the block
@@ -275,7 +321,7 @@ def count_box(pi: Permutation, dec, m: int) -> int:
             total += _dominance_batch(p, w2,
                                       np.concatenate(batch_x),
                                       np.concatenate(batch_y),
-                                      np.concatenate(batch_c))
+                                      np.concatenate(batch_c), q)
             batch_x.clear()
             batch_y.clear()
             batch_c.clear()
@@ -284,8 +330,7 @@ def count_box(pi: Permutation, dec, m: int) -> int:
     for x4 in range(n):
         if not two_absent and x4 % m == 0 and x4 > 0:
             sv = _merge_sorted(sv, np.sort(p[x4 - m:x4]))
-            cw = np.concatenate([np.zeros(1, dtype=np.int64),
-                                 np.cumsum(w2[ip[sv]])])
+            cw = _prefix_sums(w2[ip[sv]], q)
         col = x4 - x4 % m
         y4 = int(p[x4])
         row = y4 - y4 % m
@@ -300,7 +345,7 @@ def count_box(pi: Permutation, dec, m: int) -> int:
         valid = (xs1[None, :] < xs3[:, None]) & (vs1[None, :] > ys3[:, None])
         if not valid.any():
             continue
-        coef = d3[xs3][:, None] * d1[xs1][None, :]
+        coef = _mod(d3[xs3][:, None] * d1[xs1][None, :], q)
         if two_absent:
             total += int(np.where(valid, coef, 0).sum())
             continue
@@ -328,7 +373,8 @@ def count_box(pi: Permutation, dec, m: int) -> int:
                 batch_len += len(ii)
                 if batch_len >= (1 << 21):
                     flush_batch()
-        total += int((np.where(valid, coef * b2, 0)).sum())
+        # b2 sums at most 2m + 2 reduced terms, so it stays below (2m + 2) q.
+        total += int(np.where(valid, _mod(coef * _mod(b2, q), q), 0).sum())
     flush_batch()
     return total
 
@@ -337,17 +383,16 @@ _SWEEP_CHUNK = 64
 
 
 def _dominance_batch(p: np.ndarray, w2: np.ndarray, qx: np.ndarray,
-                     qy: np.ndarray, qc: np.ndarray) -> int:
+                     qy: np.ndarray, qc: np.ndarray, q: int) -> int:
     """Sum of qc * F(qx, qy) with F(X, Y) = sum of w2 over points south-west
-    of (X, Y), inclusive on both coordinates.
+    of (X, Y), inclusive on both coordinates, in the ring of modulus q.
 
     Sweeps positions in chunks: queries read a value-sorted prefix array
     for everything west of their chunk plus a small dense pass over the
     chunk itself.
     """
     n = len(p)
-    q = len(qx)
-    if q == 0:
+    if len(qx) == 0:
         return 0
     c = _SWEEP_CHUNK
     order = np.argsort(qx, kind="stable")
@@ -367,12 +412,11 @@ def _dominance_batch(p: np.ndarray, w2: np.ndarray, qx: np.ndarray,
             inside = (pts[None, :] <= gx[:, None]) & \
                 (p[pts][None, :] <= gy[:, None])
             chunk_part = inside @ w2[pts]
-            total += int((gc * (base_part + chunk_part)).sum())
+            total += int(_mod(gc * _mod(base_part + chunk_part, q), q).sum())
         block_vals = p[k * c:(k + 1) * c]
         ordv = np.argsort(block_vals)
         ins = np.searchsorted(base_vals, block_vals[ordv])
         base_vals = np.insert(base_vals, ins, block_vals[ordv])
         base_w = np.insert(base_w, ins, w2[k * c:(k + 1) * c][ordv])
-        base_cum = np.concatenate([np.zeros(1, dtype=np.int64),
-                                   np.cumsum(base_w)])
+        base_cum = _prefix_sums(base_w, q)
     return total

@@ -15,7 +15,7 @@ Permutations are ASCII integers separated by whitespace, one-line notation,
    "anchors": {"one": i, "two": j-or-null, "three": k, "four": l}}
 
 Exit codes: 0 success, 1 self-test failure, 2 parse/validation failure,
-3 inapplicable algorithm or size cap, 4 overflow.
+3 inapplicable algorithm or size cap.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from .core import (
     classify,
     double_poset,
 )
-from .indexstructs import OverflowDetected
 
 EXIT_SELFTEST = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
-EXIT_OVERFLOW = 4
 
 
 class ParseFailure(ValueError):
@@ -194,6 +192,9 @@ def _resolve_algorithm(value, requested: str) -> str:
 
 
 def cmd_count(args) -> int:
+    if args.block_size is not None and args.block_size < 1:
+        raise ParseFailure(
+            f"--block-size must be at least 1, got {args.block_size}")
     pi = read_permutation(args.perm)
     value = read_tree_file(args.tree)
     algorithm = _resolve_algorithm(value, args.algorithm)
@@ -441,9 +442,6 @@ def main(argv=None) -> int:
     except (Inapplicable, trees.TooLarge, counting.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except OverflowDetected as exc:
-        print(f"error: overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
 
 
 if __name__ == "__main__":

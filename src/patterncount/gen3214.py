@@ -22,7 +22,8 @@ box queries.  With m ~ n^(1/3) the total work is ~n^(5/3) up to logs.
 
 from __future__ import annotations
 
-import os
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -251,20 +252,16 @@ def _cube_root_block(n: int) -> int:
     return max(1, r)
 
 
-def _resolve_workers() -> int:
-    raw = os.environ.get("PATTERNCOUNT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def morphism_bound(arbo: ArboNE, n: int) -> int:
+    """A bound on |Mor(arbo, pi)| for every permutation pi of length n.
 
-
-def _use_fast(pi: Permutation, method: str) -> bool:
-    if method == "exact":
-        return False
-    if method == "fast":
-        return True
-    return pi.n >= 1024
+    A morphism is strictly increasing along the west order, a rooted tree
+    with `four` on top.  Of the n^k maps, at most a fraction 1/prod(|down-set
+    of v|) do that (the hook-length argument for forests).  For a chain the
+    bound is n^k / k!, just above C(n, k).
+    """
+    below = Counter(b for _, b in arbo.dp.west.pairs)
+    return n ** arbo.n // math.prod(below[v] + 1 for v in range(arbo.n))
 
 
 # ------------------------------------------------------------- type A
@@ -293,23 +290,11 @@ def count_type_a(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") ->
     if n == 0:
         return 0
     dec = decompose(arbo)
-    if _use_fast(pi, method):
+    if method != "exact":
         from . import _fast
 
-        try:
-            return _fast.count_type_a(pi, dec.west_tree, m)
-        except _fast.Int64Risk:
-            pass
-    starts = list(range(0, n, m))
-    workers = _resolve_workers()
-    if workers > 1 and len(starts) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_type_a_block, pi, dec.west_tree, r, m)
-                       for r in starts]
-            return sum(f.result() for f in futures)
-    return sum(_type_a_block(pi, dec.west_tree, r, m) for r in starts)
+        return _fast.count_type_a(pi, dec.west_tree, m, morphism_bound(arbo, n))
+    return sum(_type_a_block(pi, dec.west_tree, r, m) for r in range(0, n, m))
 
 
 # ------------------------------------------------------ type B not A
@@ -347,24 +332,14 @@ def count_type_b_not_a(pi: Permutation, arbo: ArboNE, m: int,
     if n == 0:
         return 0
     dec = decompose(arbo)
-    if _use_fast(pi, method):
+    if method != "exact":
         from . import _fast
 
-        try:
-            return _fast.count_type_b_not_a(pi, dec.inv_west_tree, m)
-        except _fast.Int64Risk:
-            pass
+        return _fast.count_type_b_not_a(pi, dec.inv_west_tree, m,
+                                        morphism_bound(arbo, n))
     inv_vals = pi.inverse().zero_indexed()
-    starts = list(range(0, n, m))
-    workers = _resolve_workers()
-    if workers > 1 and len(starts) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_type_b_block, inv_vals, dec.inv_west_tree,
-                                   c, m) for c in starts]
-            return sum(f.result() for f in futures)
-    return sum(_type_b_block(inv_vals, dec.inv_west_tree, c, m) for c in starts)
+    return sum(_type_b_block(inv_vals, dec.inv_west_tree, c, m)
+               for c in range(0, n, m))
 
 
 # ---------------------------------------------------------------- box
@@ -386,13 +361,10 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
     if n == 0:
         return 0
     dec = decompose(arbo)
-    if _use_fast(pi, method):
+    if method != "exact":
         from . import _fast
 
-        try:
-            return _fast.count_box(pi, dec, m)
-        except _fast.Int64Risk:
-            pass
+        return _fast.count_box(pi, dec, m, morphism_bound(arbo, n))
     vals = pi.zero_indexed()
     inv = pi.inverse().zero_indexed()
 
@@ -446,7 +418,11 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
 
 def count_gen_3214(pi: Permutation, arbo: ArboNE, m: int | None = None,
                    method: str = "auto") -> int:
-    """Total morphism count: the three types partition Mor for any m."""
+    """Total morphism count: the three types partition Mor for any m.
+
+    method="exact" runs the streaming reference passes, kept as oracles;
+    "auto" and "fast" run the numpy passes, which are exact as well.
+    """
     if pi.n == 0:
         return 0
     if m is None:

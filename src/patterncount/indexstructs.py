@@ -2,16 +2,12 @@
 
 Both are realized as binary indexed (Fenwick) trees, which have the same
 logarithmic update/query costs as a complete binary tree of partial sums.
-Python integers are arbitrary precision, so counts never overflow; the
-OverflowDetected exception exists for callers (such as the vectorized fast
-paths) that work in fixed-width arithmetic and need to signal a fallback.
+Python integers are arbitrary precision, so counts never overflow.  The
+streaming reference paths use these trees; the vectorized paths in _fast
+are exact by ring arithmetic and need neither.
 """
 
 from __future__ import annotations
-
-
-class OverflowDetected(ArithmeticError):
-    """Fixed-width accumulation would overflow; retry on an exact path."""
 
 
 class DuplicateColumn(ValueError):

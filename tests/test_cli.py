@@ -69,6 +69,19 @@ def test_count_block_rejects_corner_tree(write, capsys):
                  "--algorithm", "block"]) == 3
 
 
+def test_count_block_size_bounds(write, capsys):
+    perm_file = write("p.txt", "3 2 1 4 5")
+    tree_file = write("arbo.json", arbo_doc(bare_3214()))
+    for bad in ("0", "-3"):
+        assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                     "--block-size", bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    # A block larger than the permutation is one block: everything is box.
+    assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                 "--block-size", "9"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
 def test_count_stream_requires_west_labels(write):
     perm_file = write("p.txt", "2 1 3")
     west = {"type": "corner_tree", "root": 0, "nodes": [0, 1],

@@ -1,7 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patterncount import _fast
 
 from patterncount.core import (
     Permutation,
@@ -27,6 +32,7 @@ from patterncount.gen3214 import (
     count_type_b_not_a,
     decompose,
     level5_arbos,
+    morphism_bound,
     validate_arbo,
 )
 
@@ -287,19 +293,6 @@ def test_gen_default_block_size_uses_cube_root():
     assert count_gen_3214(pi, arbo) == count_gen_3214(pi, arbo, 3)
 
 
-def test_worker_pool_gives_same_counts(monkeypatch):
-    monkeypatch.setenv("PATTERNCOUNT_THREADS", "2")
-    rng = random.Random(49)
-    pi = random_perm(rng, 120)
-    arbo = level5_arbos()[0]
-    pooled = count_type_a(pi, arbo, 5, method="exact") + \
-        count_type_b_not_a(pi, arbo, 5, method="exact")
-    monkeypatch.setenv("PATTERNCOUNT_THREADS", "1")
-    serial = count_type_a(pi, arbo, 5, method="exact") + \
-        count_type_b_not_a(pi, arbo, 5, method="exact")
-    assert pooled == serial
-
-
 def test_level5_arbos_validate():
     a1, a2, a3 = level5_arbos()
     for a in (a1, a2, a3):
@@ -311,3 +304,98 @@ def test_level5_arbos_validate():
     assert len(dec1.dangle1_trees) == 1
     dec2 = decompose(a2)
     assert dec2.dangle2_tree is not None and dec2.dangle2_tree.size() == 2
+
+
+# ------------------------------------------------------- ring arithmetic
+
+LEVEL5_MEMBERS = [bare_3214()] + list(level5_arbos())
+
+
+def test_modulus_choice():
+    # One int64 pass is exact while the hook-length bound stays below 2^64;
+    # n^4 itself is above 2^64 for bare_3214 at n = 80 000.
+    assert 80_000 ** 4 >= 2 ** 64
+    assert _fast._moduli(morphism_bound(bare_3214(), 80_000)) == (2 ** 64,)
+    for arbo in LEVEL5_MEMBERS:
+        assert _fast._moduli(morphism_bound(arbo, 4000)) == (2 ** 64,)
+    assert len(_fast._moduli(morphism_bound(build_arbo(True, (2,) * 4), 1100))) == 2
+    moduli = _fast._moduli(morphism_bound(build_arbo(True, (2,) * 8), 700))
+    assert len(moduli) == 3
+    for q in moduli[1:]:
+        assert q < 2 ** 31 and all(q % d for d in range(2, 46341))
+
+
+def test_morphism_bound_of_a_chain():
+    # bare_3214 is a chain in the west order: n^4 / 4!, just above C(n, 4).
+    assert morphism_bound(bare_3214(), 50) == 50 ** 4 // 24
+    assert morphism_bound(bare_3214(), 50) >= math.comb(50, 4)
+
+
+def test_crt_recovers_large_integers():
+    rng = random.Random(50)
+    for bits in (10, 64, 65, 95, 126, 200):
+        value = rng.getrandbits(bits)
+        moduli = _fast._moduli(value)
+        assert _fast._crt([value % q for q in moduli], moduli) == value
+
+
+@pytest.mark.filterwarnings("error")
+def test_ring_path_above_int63_matches_exact():
+    # wide-three: four leaves below `three`.  Its type-A count exceeds 2^63,
+    # so the int64 pass alone is not enough and one prime pass joins it.
+    arbo = build_arbo(True, (2, 2, 2, 2))
+    pi = random_perm(random.Random(201), 1100)
+    for fn in (count_type_a, count_type_b_not_a, count_box):
+        assert fn(pi, arbo, 10, method="fast") == \
+            fn(pi, arbo, 10, method="exact"), fn.__name__
+
+
+@pytest.mark.filterwarnings("error")
+def test_ring_path_above_int64_two_primes():
+    arbo = build_arbo(True, (2,) * 8)
+    pi = random_perm(random.Random(51), 700)
+    count = count_gen_3214(pi, arbo)
+    assert count > 2 ** 64
+    assert count == count_gen_3214(pi, arbo, method="exact")
+
+
+def _direct_sum(a, b):
+    return a + tuple(v + len(a) for v in b)
+
+
+def _skew_sum(a, b):
+    return tuple(v + len(b) for v in a) + b
+
+
+def _layered(runs):
+    return tuple(itertools.chain.from_iterable(
+        range(sum(runs[:i + 1]), sum(runs[:i]), -1) for i in range(len(runs))))
+
+
+_small_blocks = st.integers(1, 3).flatmap(
+    lambda k: st.permutations(list(range(1, k + 1)))).map(tuple)
+_sums = st.recursive(
+    _small_blocks,
+    lambda inner: st.tuples(st.sampled_from([_direct_sum, _skew_sum]),
+                            inner, inner).map(lambda t: t[0](t[1], t[2])),
+    max_leaves=4)
+structured_perms = st.one_of(
+    st.integers(1, 9).map(lambda n: tuple(range(1, n + 1))),
+    st.integers(1, 9).map(lambda n: tuple(range(n, 0, -1))),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).map(_layered),
+    _sums.filter(lambda v: len(v) <= 9),
+).map(Permutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pi=structured_perms,
+       arbo=st.sampled_from(LEVEL5_MEMBERS + [build_arbo(False),
+                                              build_arbo(True, (0, 2)),
+                                              build_arbo(False, (0, 1))]))
+def test_structured_inputs_match_morphism_count(pi, arbo):
+    expected = count_morphisms_into_perm(arbo.dp, pi)
+    n = pi.n
+    assert expected <= morphism_bound(arbo, n)
+    for m in {1, n - 1, n, n + 1} - {0}:
+        assert count_gen_3214(pi, arbo, m) == expected
+        assert count_gen_3214(pi, arbo, m, method="exact") == expected
