@@ -34,12 +34,10 @@ from .counting import (
     count_all_west,
     count_corner_tree,
     naive_morphism_count,
-    stream_west_init,
 )
 from .gen3214 import (
     ArboDecomposition,
     ArboNE,
-    BlockGrid,
     bare_3214,
     build_arbo,
     count_box,

@@ -1,13 +1,18 @@
-"""Vectorized counting paths for the block decomposition.
+"""Vectorized counting paths: corner-tree scans and the block decomposition.
 
-These compute exactly the same integers as the streaming code in gen3214,
-reorganized so numpy does the work:
+These compute exactly the same integers as the streaming reference code in
+counting and gen3214, reorganized so numpy does the work:
 
-* A gated stream's root values depend only on the gated point set, so each
-  block's scan becomes an offline pass: a top-down merge schedule answers
-  "sum of X over earlier positions with smaller value" for a whole sequence
-  at once, one cumsum per merge level.  Suffix-style (NW) sums fall out as
-  position-prefix minus value-prefix.
+* One offline scan engine serves every corner label.  A top-down merge
+  schedule over a sequence's keys answers "sum of x over earlier points
+  with smaller key" (the SW sum) for the whole sequence at once, one
+  cumsum per merge level.  The other three quadrants follow from it:
+  NW = position prefix - SW, SE = key prefix - SW, and
+  NE = total - x - position prefix - key prefix + SW, where the position
+  prefix sums x over earlier points and the key prefix sums x over smaller
+  keys.  count_corner_tree runs it on a whole permutation; the type-A/B
+  passes run it on each block's gated point set, whose root values depend
+  only on that set.
 * The box pass evaluates, per candidate top point, all in-block pairs with
   broadcast arrays; the one term whose corners fall outside the candidate's
   blocks is deferred into a single offline dominance batch.
@@ -18,8 +23,9 @@ cumsum, which in int64 wrap modulo 2^64.  A pass therefore first runs in
 that natural ring.  When the caller's a-priori bound on the count reaches
 2^64, the pass runs once more modulo each prime below 2^31 that the bound
 requires, and the residues are combined by the Chinese remainder theorem.
-A prime pass keeps its values reduced below p after every product and after
-every cumsum that feeds one, so no int64 intermediate reaches 2^63.
+Each schedule is built once and serves every modulus.  A prime pass keeps
+its values reduced below p after every product and after every cumsum that
+feeds one, so no int64 intermediate reaches 2^63.
 """
 
 from __future__ import annotations
@@ -70,12 +76,6 @@ def _crt(residues: list[int], moduli: tuple[int, ...]) -> int:
     return x
 
 
-def _in_rings(pass_fn, bound: int, *args) -> int:
-    """pass_fn's count, given that it lies in [0, bound]."""
-    moduli = _moduli(bound)
-    return _crt([pass_fn(*args, q) for q in moduli], moduli)
-
-
 def _mod(a: np.ndarray, q: int) -> np.ndarray:
     """Reduce into [0, q) in a prime ring; the int64 ring wraps by itself."""
     return a if q == _WRAP else a % q
@@ -118,10 +118,9 @@ class _SplitSchedule:
     Levels split key-sorted runs into their aligned halves; the cross
     contribution of each split is a masked cumsum read off at right-half
     slots.  Runs at the bottom are handled by one dense matrix per run.
-    Only the initial sorted order is kept; each transform replays the
-    splits on the fly, which keeps the working set small enough to stay in
-    cache even for the largest blocks.  The all-ones transform falls out of
-    the construction pass and is stored.
+    The construction pass lays out every level and the bottom matrices
+    once, and the all-ones transform falls out of it and is stored; each
+    further transform replays the stored layout.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -136,21 +135,27 @@ class _SplitSchedule:
             keys = np.concatenate([keys, top + np.arange(pad, dtype=np.int32)])
         self.t = t
         self.size = size
-        self.run = _run_length(size)
+        run = _run_length(size)
         self._order0 = np.argsort(keys, kind="stable").astype(np.int32)
         ones = np.zeros(size, dtype=np.int64)
         order = self._order0
-        for half, runbase, pos_in_run in _level_geometry(size, self.run):
+        self._levels = []
+        for half, runbase, pos_in_run in _level_geometry(size, run):
             left = (order & half) == 0
             c = np.cumsum(left, dtype=np.int32)
             ec = c - left
             w = ec - ec.take(runbase)  # lefts sorted before each slot, in-run
-            rp = ~left
-            ones[order[rp]] += w[rp]
+            right = np.flatnonzero(~left).astype(np.int32)
+            dest = order.take(right)
+            ones[dest] += w.take(right)
+            # In a prefix array with a leading zero, the lefts sorted before
+            # a right slot in its run are prefix[right + 1] - prefix[runbase].
+            self._levels.append((order, left, right + 1, runbase.take(right), dest))
             order = _partition(order, left, w, half, runbase, pos_in_run)
-        o = order.reshape(size // self.run, self.run)
-        kernel = (o[:, :, None] < o[:, None, :]) & _upper_tri(self.run)
-        ones[order] += kernel.sum(axis=1).ravel()
+        self._bottom = order
+        o = order.reshape(size // run, run)
+        self._kernel = (o[:, :, None] < o[:, None, :]) & _upper_tri(run)
+        ones[order] += self._kernel.sum(axis=1).ravel()
         self._ones = ones
 
     def ones_smaller(self) -> np.ndarray:
@@ -161,32 +166,29 @@ class _SplitSchedule:
         """z[i] = sum of x[j] over j < i with key[j] < key[i], in the ring
         of modulus q; x must be reduced.
         """
-        t, size, run = self.t, self.size, self.run
+        t, size = self.t, self.size
         if t == 0:
             return np.zeros(0, dtype=np.int64)
         xp = np.zeros(size, dtype=np.int64)
         xp[:t] = x
         z = np.zeros(size, dtype=np.int64)
-        order = self._order0
-        for half, runbase, pos_in_run in _level_geometry(size, run):
-            left = (order & half) == 0
-            xo = xp.take(order)
-            lx = np.where(left, xo, 0)
-            cx = np.cumsum(lx)
-            ecx = cx - lx
-            wx = ecx - ecx.take(runbase)
-            rp = ~left
-            z[order[rp]] += wx[rp]
-            c = np.cumsum(left, dtype=np.int32)
-            ec = c - left
-            w = ec - ec.take(runbase)
-            order = _partition(order, left, w, half, runbase, pos_in_run)
-        o = order.reshape(size // run, run)
-        kernel = (o[:, :, None] < o[:, None, :]) & _upper_tri(run)
-        xr = xp.take(order).reshape(o.shape)
-        z[order] += np.einsum("rji,rj->ri", kernel, xr).ravel()
+        cx = np.zeros(size + 1, dtype=np.int64)
+        for order, left, after, start, dest in self._levels:
+            np.cumsum(np.where(left, xp.take(order), 0), out=cx[1:])
+            z[dest] += cx.take(after) - cx.take(start)
+        order = self._bottom
+        xr = xp.take(order).reshape(self._kernel.shape[:2])
+        z[order] += np.einsum("rji,rj->ri", self._kernel, xr).ravel()
         # Each z[i] sums fewer than t reduced values, so it stays below t * q.
         return _mod(z[:t], q)
+
+    def key_prefix(self, x: np.ndarray) -> np.ndarray:
+        """s[i] = sum of x[j] over every j with key[j] < key[i], unreduced."""
+        order = self._order0[:self.t]
+        xs = x.take(order)
+        s = np.empty(self.t, dtype=np.int64)
+        s[order] = np.cumsum(xs) - xs
+        return s
 
 
 def _partition(order, left, left_rank, half, runbase, pos_in_run):
@@ -197,7 +199,7 @@ def _partition(order, left, left_rank, half, runbase, pos_in_run):
     return new_order
 
 
-def _tree_values(tree: CornerTree, schedule: _SplitSchedule, t: int, q: int,
+def _tree_values(tree: CornerTree, schedule: _SplitSchedule, q: int,
                  node=None) -> np.ndarray | None:
     """Placement counts of each subtree with its root at each sequence point,
     reduced.
@@ -207,23 +209,40 @@ def _tree_values(tree: CornerTree, schedule: _SplitSchedule, t: int, q: int,
     node = tree.root if node is None else node
     x = None
     for child, label in tree.children(node):
-        xc = _tree_values(tree, schedule, t, q, child)
-        if xc is None:
-            z_sw = schedule.ones_smaller()
-            z = z_sw if label == "SW" else \
-                np.arange(t, dtype=np.int64) - z_sw
-        else:
-            z_sw = schedule.dominance_smaller(xc, q)
-            z = z_sw if label == "SW" else \
-                _mod((np.cumsum(xc) - xc) - z_sw, q)
+        z = _corner_sums(schedule, _tree_values(tree, schedule, q, child),
+                         label, q)
         x = z if x is None else _mod(x * z, q)
     return x
 
 
-def _root_values(tree: CornerTree, schedule: _SplitSchedule, t: int,
+def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None, label: str,
                  q: int) -> np.ndarray:
-    x = _tree_values(tree, schedule, t, q)
-    return np.ones(t, dtype=np.int64) if x is None else x
+    """Sum of x over the points in each point's label quadrant, reduced.
+
+    x is None for identically one.  Every quadrant comes from the one SW
+    dominance sum and the position and key prefix sums; each term below
+    sums at most t reduced values, so no int64 intermediate reaches 2^63.
+    """
+    if x is None:
+        x = np.ones(schedule.t, dtype=np.int64)
+        sw = schedule.ones_smaller()
+    else:
+        sw = schedule.dominance_smaller(x, q)
+    if label == "SW":
+        return sw
+    west = np.cumsum(x) - x
+    if label == "NW":
+        return _mod(west - sw, q)
+    south = schedule.key_prefix(x)
+    if label == "SE":
+        return _mod(south - sw, q)
+    return _mod(x.sum() - x - west - south + sw, q)  # NE
+
+
+def _root_values(tree: CornerTree, schedule: _SplitSchedule,
+                 q: int) -> np.ndarray:
+    x = _tree_values(tree, schedule, q)
+    return np.ones(schedule.t, dtype=np.int64) if x is None else x
 
 
 def _perm_arrays(pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
@@ -237,63 +256,69 @@ def _merge_sorted(base: np.ndarray, extra_sorted: np.ndarray) -> np.ndarray:
     return np.insert(base, np.searchsorted(base, extra_sorted), extra_sorted)
 
 
+def count_corner_tree(pi: Permutation, tree: CornerTree, bound: int) -> int:
+    """Occurrences of the corner tree in pi, given that they are at most bound."""
+    p, _ = _perm_arrays(pi)
+    schedule = _SplitSchedule(p)
+    moduli = _moduli(bound)
+    return _crt([int(_root_values(tree, schedule, q).sum()) for q in moduli],
+                moduli)
+
+
 def count_type_a(pi: Permutation, west_tree: CornerTree, m: int,
                  bound: int) -> int:
     """The type-A count, given that it is at most bound."""
-    return _in_rings(_type_a, bound, pi, west_tree, m)
-
-
-def _type_a(pi: Permutation, west_tree: CornerTree, m: int, q: int) -> int:
     n = pi.n
     p, ip = _perm_arrays(pi)
-    total = 0
+    moduli = _moduli(bound)
+    totals = [0] * len(moduli)
     gpos = np.empty(0, dtype=np.int64)
     for r in range(m, n, m):
         gpos = _merge_sorted(gpos, np.sort(ip[r - m:r]))
         schedule = _SplitSchedule(p[gpos])
-        croots = _prefix_sums(_root_values(west_tree, schedule, len(gpos), q), q)
-        cand = ip[r:min(r + m, n)]
-        total += int(croots[np.searchsorted(gpos, cand)].sum())
-    return total
+        at = np.searchsorted(gpos, ip[r:min(r + m, n)])
+        for k, q in enumerate(moduli):
+            croots = _prefix_sums(_root_values(west_tree, schedule, q), q)
+            totals[k] += int(croots[at].sum())
+    return _crt(totals, moduli)
 
 
 def count_type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int,
                        bound: int) -> int:
     """The type-B-not-A count, given that it is at most bound."""
-    return _in_rings(_type_b_not_a, bound, pi, inv_west_tree, m)
-
-
-def _type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int,
-                  q: int) -> int:
     n = pi.n
     p, ip = _perm_arrays(pi)
-    total = 0
+    moduli = _moduli(bound)
+    totals = [0] * len(moduli)
     gs = np.empty(0, dtype=np.int64)
     for c in range(m, n, m):
         gs = _merge_sorted(gs, np.sort(p[c - m:c]))
         schedule = _SplitSchedule(ip[gs])
-        croots = _prefix_sums(_root_values(inv_west_tree, schedule, len(gs), q), q)
         cand = p[c:min(c + m, n)]
-        hi = int(croots[np.searchsorted(gs, cand)].sum())
-        lo = int(croots[np.searchsorted(gs, cand - cand % m)].sum())
-        total += hi - lo
-    return total
+        hi = np.searchsorted(gs, cand)
+        lo = np.searchsorted(gs, cand - cand % m)
+        for k, q in enumerate(moduli):
+            croots = _prefix_sums(_root_values(inv_west_tree, schedule, q), q)
+            totals[k] += int(croots[hi].sum()) - int(croots[lo].sum())
+    return _crt(totals, moduli)
 
 
 def count_box(pi: Permutation, dec, m: int, bound: int) -> int:
     """The box count, given that it is at most bound."""
-    return _in_rings(_box, bound, pi, dec, m)
-
-
-def _box(pi: Permutation, dec, m: int, q: int) -> int:
-    n = pi.n
     p, ip = _perm_arrays(pi)
     full = _SplitSchedule(p)
+    moduli = _moduli(bound)
+    return _crt([_box(p, ip, full, dec, m, q) for q in moduli], moduli)
+
+
+def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
+         q: int) -> int:
+    n = len(p)
 
     def point_products(trees) -> np.ndarray:
         prod = np.ones(n, dtype=np.int64)
         for tree in trees:
-            weights = _root_values(tree, full, n, q)
+            weights = _root_values(tree, full, q)
             prod = _mod(prod * full.dominance_smaller(weights, q), q)
         return prod
 
@@ -304,7 +329,7 @@ def _box(pi: Permutation, dec, m: int, q: int) -> int:
     if two_absent:
         w2 = g3 = None
     else:
-        w2 = _root_values(dec.dangle2_tree, full, n, q)
+        w2 = _root_values(dec.dangle2_tree, full, q)
         g3 = full.dominance_smaller(w2, q)
 
     total = 0

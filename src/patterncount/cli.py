@@ -321,8 +321,12 @@ def cmd_selftest(args) -> int:
                       for c in range(1, k))
         ct = trees.CornerTree(0, edges)
         pi = _random_permutation(rng, rng.randint(1, 40))
-        ok &= counting.count_all_west(pi, ct) == \
-            counting.count_corner_tree(pi, ct)
+        # Both counters run one engine; the online counter is independent.
+        counter = counting.StreamWestCounter(ct, pi.n)
+        streamed = sum(counter.process(x, y)
+                       for x, y in enumerate(pi.zero_indexed()))
+        ok &= counting.count_all_west(pi, ct) == streamed
+        ok &= counting.count_corner_tree(pi, ct) == streamed
     report("stream-vs-general", ok)
 
     ok = True

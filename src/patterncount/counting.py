@@ -1,17 +1,26 @@
 """Occurrence counting for corner trees on permutations.
 
-The general algorithm runs one scan per edge of the corner tree, bottom-up:
-insert the child's profile value at the point's value index, then read a
-strict prefix (S labels) or strict suffix (N labels) sum.  Scan direction
-follows the E/W half of the label: ascending positions for W, descending
-for E.  Everything is exact integer arithmetic.
+count_corner_tree and count_all_west run one offline scan engine (_fast),
+which serves every corner label from a single south-west dominance sum
+over the permutation: a child's values summed over each point's NW, SE and
+NE quadrants are the position prefix, the value prefix and the total,
+corrected by that SW sum.  Counts are exact: the engine works in ring
+arithmetic under an a-priori bound on the count and recombines the
+residues by the Chinese remainder theorem.
 
-The streaming counter handles trees whose labels are all W (NW/SW): those
-can be counted in a single left-to-right scan, and they are the building
-block of the block-decomposition algorithm in gen3214.
+Two pure-Python paths stay beside it.  corner_tree_profiles runs one
+Fenwick scan per edge, bottom-up: insert the child's profile value at the
+point's value index, then read a strict prefix (S labels) or strict suffix
+(N labels) sum, scanning ascending positions for W labels and descending
+ones for E labels; it is the oracle.  StreamWestCounter is the online
+counter for trees whose labels are all W (NW/SW): points arrive in
+increasing position and each returns its root placements at once, which
+the block decomposition's reference passes in gen3214 use.
 """
 
 from __future__ import annotations
+
+import math
 
 from .core import DoublePoset, Permutation, perm_to_dp
 from .indexstructs import SumTree
@@ -69,10 +78,39 @@ def corner_tree_profiles(pi: Permutation, ct: CornerTree):
 
 def count_corner_tree(pi: Permutation, ct: CornerTree) -> int:
     """Number of occurrences of the corner tree in pi, in O(n log n) per edge."""
+    return _count(pi, ct)
+
+
+def occurrence_bound(ct: CornerTree, n: int) -> int:
+    """A bound on the occurrences of ct in every permutation of length n.
+
+    When every label is west (or every label is east), an occurrence is
+    strictly monotone along each root path in position, so it is a strict
+    order-preserving map from the rooted tree into a chain.  Of the n^k
+    maps, at most a fraction 1/prod(|subtree(v)|) are (the hook-length
+    argument of gen3214.morphism_bound), and the same holds in value when
+    every label is south (or every label is north).  Otherwise n^k.
+    """
+    k = ct.size()
+    labels = ct.labels()
+    if len({lab[0] for lab in labels}) > 1 and len({lab[1] for lab in labels}) > 1:
+        return n ** k
+    sizes: dict = {}
+
+    def size(v) -> int:
+        sizes[v] = 1 + sum(size(c) for c, _ in ct.children(v))
+        return sizes[v]
+
+    size(ct.root)
+    return n ** k // math.prod(sizes.values())
+
+
+def _count(pi: Permutation, ct: CornerTree) -> int:
     if pi.n == 0:
         return 0
-    vertex, _ = corner_tree_profiles(pi, ct)
-    return sum(vertex[ct.root])
+    from . import _fast
+
+    return _fast.count_corner_tree(pi, ct, occurrence_bound(ct, pi.n))
 
 
 class StreamWestCounter:
@@ -84,8 +122,7 @@ class StreamWestCounter:
     """
 
     def __init__(self, tree: CornerTree, n: int):
-        if not tree.labels() <= {"NW", "SW"}:
-            raise NotWestTree(f"labels {tree.labels()} are not all W")
+        _require_west(tree)
         self.tree = tree
         self.n = n
         self._last_x = -1
@@ -129,19 +166,15 @@ class StreamWestCounter:
         return value[self.tree.root]
 
 
-def stream_west_init(tree: CornerTree, n: int) -> StreamWestCounter:
-    return StreamWestCounter(tree, n)
+def _require_west(tree: CornerTree) -> None:
+    if not tree.labels() <= {"NW", "SW"}:
+        raise NotWestTree(f"labels {tree.labels()} are not all W")
 
 
 def count_all_west(pi: Permutation, tree: CornerTree) -> int:
-    """Occurrences of an all-West tree via a single left-to-right scan."""
-    if pi.n == 0:
-        return 0
-    counter = StreamWestCounter(tree, pi.n)
-    total = 0
-    for x, y in enumerate(pi.zero_indexed()):
-        total += counter.process(x, y)
-    return total
+    """Occurrences of an all-West tree; raises NotWestTree for any other."""
+    _require_west(tree)
+    return _count(pi, tree)
 
 
 _MORPHISM_BUDGET = 10**9

@@ -73,21 +73,6 @@ class ArboNE:
 
 
 @dataclass(frozen=True)
-class BlockGrid:
-    """Half-open blocks [km, (k+1)m) partitioning positions and values."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("block size must be at least 1")
-
-    def start(self, v: int) -> int:
-        return v - v % self.m
-
-
-@dataclass(frozen=True)
 class ArboDecomposition:
     west_tree: CornerTree
     inv_west_tree: CornerTree
@@ -427,7 +412,8 @@ def count_gen_3214(pi: Permutation, arbo: ArboNE, m: int | None = None,
         return 0
     if m is None:
         m = _cube_root_block(pi.n)
-    BlockGrid(pi.n, m)  # validates m
+    if m < 1:
+        raise ValueError(f"block size must be at least 1, got {m}")
     return (count_type_a(pi, arbo, m, method)
             + count_type_b_not_a(pi, arbo, m, method)
             + count_box(pi, arbo, m, method))

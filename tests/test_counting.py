@@ -2,6 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patterncount import _fast
 
 from patterncount.core import Permutation, naive_pattern_count, perm, perm_to_dp
 from patterncount.counting import (
@@ -13,9 +17,12 @@ from patterncount.counting import (
     corner_tree_to_dp,
     count_all_west,
     count_corner_tree,
+    naive_corner_tree_count,
     naive_morphism_count,
+    occurrence_bound,
 )
 from patterncount.trees import CornerTree, snpolytree_to_ct
+from tests.test_gen3214 import structured_perms
 from tests.test_trees import random_corner_tree, random_polytree
 
 
@@ -72,6 +79,8 @@ def test_single_ne_edge_counts_12():
 def test_empty_permutation():
     assert count_corner_tree(Permutation(()), CornerTree(0, ())) == 0
     assert count_all_west(Permutation(()), CornerTree(0, ())) == 0
+    with pytest.raises(NotWestTree):
+        count_all_west(Permutation(()), SE_NE_NW_TREE)
 
 
 # -------------------------------------------------- morphism oracle
@@ -157,11 +166,17 @@ def test_stream_rejects_out_of_order():
 
 
 def test_count_all_west_matches_general():
+    # Both counters share one engine, so each is checked against the online
+    # counter fed point by point.
     rng = random.Random(36)
     for _ in range(200):
         tree = random_west_tree(rng, 5)
         pi = random_perm(rng, rng.randint(1, 60))
-        assert count_all_west(pi, tree) == count_corner_tree(pi, tree)
+        counter = StreamWestCounter(tree, pi.n)
+        streamed = sum(counter.process(x, y)
+                       for x, y in enumerate(pi.zero_indexed()))
+        assert count_all_west(pi, tree) == streamed
+        assert count_corner_tree(pi, tree) == streamed
 
 
 def test_sw_chain_on_identity_is_binomial():
@@ -191,3 +206,51 @@ def test_appending_new_maximum_is_monotone():
         pi = random_perm(rng, rng.randint(1, 9))
         extended = Permutation(pi.values + (pi.n + 1,))
         assert count_corner_tree(extended, ct) >= count_corner_tree(pi, ct)
+
+
+# ------------------------------------------------- the scan engine
+
+def _star(labels) -> CornerTree:
+    return CornerTree(0, tuple((0, i, lab) for i, lab in enumerate(labels, 1)))
+
+
+@pytest.mark.parametrize("labels", [("SW",) * 9,
+                                    ("NE", "NW", "SE", "SW") * 2 + ("NE",)])
+def test_engine_above_int64_matches_profiles(labels):
+    # Counts of 104 and 90 bits: the int64 ring plus two primes.
+    tree = _star(labels)
+    pi = random_perm(random.Random(39), 2000)
+    bound = occurrence_bound(tree, pi.n)
+    assert len(_fast._moduli(bound)) == 3
+    expected = sum(corner_tree_profiles(pi, tree)[0][tree.root])
+    assert 2 ** 64 < expected <= bound
+    assert count_corner_tree(pi, tree) == expected
+
+
+def test_occurrence_bound_choice():
+    # The hook bound keeps a 4-node west tree at n = 100 000 in one int64
+    # pass, although n^4 is above 2^64.
+    west = CornerTree(0, ((0, 1, "SW"), (1, 2, "NW"), (0, 3, "SW")))
+    assert 100_000 ** 4 >= 2 ** 64
+    assert occurrence_bound(west, 100_000) == 100_000 ** 4 // 8
+    assert _fast._moduli(occurrence_bound(west, 100_000)) == (2 ** 64,)
+    # All south: a rooted tree in value order.
+    assert occurrence_bound(_star(("SE", "SW")), 10) == 10 ** 3 // 3
+    assert occurrence_bound(SE_NE_NW_TREE, 10) == 10 ** 4
+    chain = CornerTree(0, tuple((i, i + 1, "NE") for i in range(3)))
+    assert occurrence_bound(chain, 10) == 10 ** 4 // 24
+
+
+four_label_trees = st.integers(1, 5).flatmap(lambda k: st.tuples(*(
+    st.tuples(st.integers(0, c - 1), st.sampled_from(["NE", "NW", "SE", "SW"]))
+    for c in range(1, k)))).map(
+        lambda es: CornerTree(0, tuple((p, c, lab)
+                                       for c, (p, lab) in enumerate(es, 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pi=structured_perms, ct=four_label_trees)
+def test_engine_matches_morphism_count_on_structured_inputs(pi, ct):
+    expected = naive_corner_tree_count(pi, ct)
+    assert expected <= occurrence_bound(ct, pi.n)
+    assert count_corner_tree(pi, ct) == expected

@@ -212,6 +212,13 @@ def test_total_invariant_under_block_size():
         assert count_gen_3214(pi, bare_3214(), m) == 4
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_block_size_below_one_is_rejected(m):
+    for method in ("auto", "exact"):
+        with pytest.raises(ValueError, match="at least 1"):
+            count_gen_3214(perm([4, 3, 2, 1, 5]), bare_3214(), m, method)
+
+
 def test_per_type_counts_match_brute_force():
     rng = random.Random(43)
     for _ in range(60):
