@@ -8,8 +8,13 @@ between morphism / embedding / induced-embedding counting functionals are
 computed here with exact rationals, together with the factorization
 identities that justify them and exact ranks of pattern-vector families.
 
-Everything in this module is brute force over small ground sets (the caps
-are explicit); the point is exactness, not speed.
+Every computation here is exact and runs over small ground sets under
+explicit caps.  Morphism classes, the change of basis and the factorization
+checks search maps one target at a time.  Pattern vectors do not: a
+surjective morphism onto a permutation is a pair of chain surjections of
+the two orders with the same kernel, so each order's chain surjections are
+enumerated once and paired by kernel, and the work is the sum of the
+vector's coefficients.
 """
 
 from __future__ import annotations
@@ -26,12 +31,12 @@ from .core import (
     StrictPoset,
     anti,
     canonical_form,
-    perm_to_dp,
 )
 from .trees import TooLarge, enumerate_snpolytrees, snpolytree_to_dp
 
 _ENUM_CAP = 6
 _PHI_CAP = 4
+RANK_LEVEL_CAP = 5
 MORPHISM_KINDS = ("mor", "mono", "epi", "regmono", "regepi", "iso", "aut")
 
 
@@ -378,23 +383,79 @@ def phi_mono_from_mor(d: DoublePoset) -> DPVector:
     return DPVector(terms)
 
 
+def _chain_surjections(order: StrictPoset) -> dict[tuple, list[tuple[int, ...]]]:
+    """Order-preserving surjections of `order` onto chains, keyed by kernel.
+
+    A surjection onto 0..k-1 is its sequence of fibres (levels), each a
+    bitmask of elements; level i is a non-empty set of unplaced elements
+    whose predecessors all sit on levels below i.  The kernel key is the
+    sorted tuple of fibres, and each surjection is stored as the level of
+    every fibre in key order.
+    """
+    n = order.n
+    below = [0] * n
+    for a, b in order.pairs:
+        below[b] |= 1 << a
+    full = (1 << n) - 1
+    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    levels: list[int] = []
+
+    def extend(placed: int):
+        if placed == full:
+            key = tuple(sorted(levels))
+            level_of = {mask: i for i, mask in enumerate(levels)}
+            out.setdefault(key, []).append(tuple(level_of[m] for m in key))
+            return
+        ready = 0
+        for e in range(n):
+            if not placed >> e & 1 and not below[e] & ~placed:
+                ready |= 1 << e
+        sub = ready
+        while sub:
+            levels.append(sub)
+            extend(placed | sub)
+            levels.pop()
+            sub = (sub - 1) & ready
+
+    extend(0)
+    return out
+
+
 def pattern_vector(d: DoublePoset) -> PatternVector:
     """The linear combination of patterns counted by morphisms out of d.
 
     Coefficient of sigma is the number of surjective morphisms onto the
     permutation's double poset; pairing the vector with the pattern counts
     of any permutation gives |Mor(d, perm)|.
+
+    A surjective morphism onto perm_to_dp(sigma), sigma in S_k, is a pair
+    of order-preserving surjections of the west and of the south order onto
+    the chain 0..k-1 with the same kernel: sigma lists the south levels of
+    the fibres in west-level order.  Each order's chain surjections are
+    enumerated once and bucketed by kernel, and every west/south pair that
+    shares a kernel adds 1 at its sigma, so the work is the sum of the
+    coefficients.
     """
     if d.n > _ENUM_CAP:
         raise TooLarge(f"pattern vector cap is {_ENUM_CAP} elements")
-    terms: dict[Permutation, int] = {}
-    for k in range(1, d.n + 1):
-        for vals in itertools.permutations(range(1, k + 1)):
-            sigma = Permutation(vals)
-            cnt = count_epis(d, perm_to_dp(sigma))
-            if cnt:
-                terms[sigma] = cnt
-    return PatternVector(terms)
+    if d.n == 0:
+        return PatternVector({})
+    west = _chain_surjections(d.west)
+    south = _chain_surjections(d.south)
+    counts: dict[tuple[int, ...], int] = {}
+    for kernel, west_levels in west.items():
+        south_levels = south.get(kernel)
+        if not south_levels:
+            continue
+        blocks = range(len(kernel))
+        for w in west_levels:
+            fibre_at = [0] * len(kernel)
+            for b in blocks:
+                fibre_at[w[b]] = b
+            for s in south_levels:
+                vals = tuple(s[b] + 1 for b in fibre_at)
+                counts[vals] = counts.get(vals, 0) + 1
+    return PatternVector({Permutation(v): c for v, c in counts.items()})
 
 
 # -------------------------------------------------------- factorization
@@ -541,8 +602,8 @@ def _permutations_up_to(k: int) -> list[Permutation]:
 
 def rank_of_family(family, top_level: int) -> RankResult:
     """Exact dimensions of the span of the family's pattern vectors."""
-    if top_level > 5:
-        raise TooLarge("rank computations are capped at level 5")
+    if top_level > RANK_LEVEL_CAP:
+        raise TooLarge(f"rank computations are capped at level {RANK_LEVEL_CAP}")
     columns = _permutations_up_to(top_level)
     col_idx = {p: i for i, p in enumerate(columns)}
     low_cols = [i for i, p in enumerate(columns) if p.n < top_level]

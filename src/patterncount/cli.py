@@ -228,6 +228,11 @@ def cmd_pattern_vector(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.max_level < 1:
+        raise ParseFailure(f"--max-level must be at least 1, got {args.max_level}")
+    if args.max_level > algebra.RANK_LEVEL_CAP:
+        raise trees.TooLarge(
+            f"rank computations are capped at level {algebra.RANK_LEVEL_CAP}")
     family = algebra.twin_tree_family(args.max_level)
     if args.include_new:
         family = family + [d for d in algebra.new_direction_family()

@@ -124,7 +124,6 @@ def test_criterion_2_pattern_vector_constants():
 
 # --------------------------------------------------------- criterion 3
 
-@pytest.mark.slow
 def test_criterion_3_rank_reproduction():
     start = time.perf_counter()
     family = twin_tree_family(5)

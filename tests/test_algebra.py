@@ -1,13 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patterncount.core import (
     DoublePoset,
     Permutation,
+    chain_poset,
     classify,
     double_poset,
+    empty_poset,
     naive_pattern_count,
     pattern_count_table,
     perm,
@@ -17,6 +22,7 @@ from patterncount.counting import count_morphisms_into_perm, corner_tree_to_dp
 from patterncount.trees import CornerTree, TooLarge
 from patterncount.algebra import (
     MorphismClassCounts,
+    PatternVector,
     all_double_posets,
     automorphism_count,
     check_factorization,
@@ -193,6 +199,54 @@ def test_translation_identities_level4():
 
 def as_strings(vec):
     return {"".join(map(str, p.values)): c for p, c in vec.items()}
+
+
+def pattern_vector_by_epis(d: DoublePoset) -> PatternVector:
+    """Reference: one surjective-morphism search per permutation of size <= n."""
+    terms = {}
+    for k in range(1, d.n + 1):
+        for vals in itertools.permutations(range(1, k + 1)):
+            sigma = Permutation(vals)
+            cnt = count_epis(d, perm_to_dp(sigma))
+            if cnt:
+                terms[sigma] = cnt
+    return PatternVector(terms)
+
+
+@st.composite
+def closed_double_posets(draw, max_n=5):
+    """Both orders are transitive closures of random acyclic relations."""
+    n = draw(st.integers(0, max_n))
+
+    def relation():
+        order = draw(st.permutations(range(n)))
+        pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        return [p for p, k in zip(pairs, keep) if k]
+
+    return double_poset(n, relation(), relation())
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_double_posets())
+def test_pattern_vector_matches_epi_searches(d):
+    assert pattern_vector(d) == pattern_vector_by_epis(d)
+
+
+@pytest.mark.parametrize("d", [
+    DoublePoset(0, empty_poset(0), empty_poset(0)),
+    DoublePoset(6, empty_poset(6), empty_poset(6)),
+    DoublePoset(6, chain_poset(6), chain_poset(6)),
+], ids=["empty", "antichain6", "chain6"])
+def test_pattern_vector_pinned_cases(d):
+    assert pattern_vector(d) == pattern_vector_by_epis(d)
+
+
+@pytest.mark.slow
+def test_pattern_vector_matches_epi_searches_on_rank_family():
+    for d in twin_tree_family(5) + list(new_direction_family()):
+        assert pattern_vector(d) == pattern_vector_by_epis(d)
 
 
 def test_cherry_vector():

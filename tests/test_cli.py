@@ -150,8 +150,27 @@ def test_rank_level2(write, capsys):
     assert json.loads(capsys.readouterr().out) == {"dim_span": 3, "dim_top": 2}
 
 
-def test_rank_cap(write):
+def test_rank_level5_with_new_directions(capsys):
+    assert main(["rank", "--max-level", "5", "--include-new"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dim_span": 138, "dim_top": 106}
+
+
+def test_rank_cap(monkeypatch, capsys):
+    from patterncount import algebra
+
+    def no_family(*args):
+        raise AssertionError("the family was built before the cap check")
+
+    monkeypatch.setattr(algebra, "twin_tree_family", no_family)
     assert main(["rank", "--max-level", "6"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("level", ["0", "-2"])
+def test_rank_level_below_one(level, capsys):
+    assert main(["rank", "--max-level", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_validate_twin_tree(write, capsys):
