@@ -13,9 +13,12 @@ counting and gen3214, reorganized so numpy does the work:
   keys.  count_corner_tree runs it on a whole permutation; the type-A/B
   passes run it on each block's gated point set, whose root values depend
   only on that set.
-* The box pass evaluates, per candidate top point, all in-block pairs with
-  broadcast arrays; the one term whose corners fall outside the candidate's
-  blocks is deferred into a single offline dominance batch.
+* The box pass takes one position block at a time.  It lists the block's
+  (four, three, one) candidate triples as flat arrays, reads the in-block
+  terms from one cumulative table per block and the west-of-block terms
+  from a prefix array over values, and sends the one term with both corners
+  west of the block to _dominance_batch, which buckets the points onto the
+  grid of the batch's distinct query coordinates.
 
 Counts live in ring arithmetic, so they are exact on every input.  Only
 positions and values are ever compared; a count only meets +, -, * and
@@ -311,8 +314,79 @@ def count_box(pi: Permutation, dec, m: int, bound: int) -> int:
     return _crt([_box(p, ip, full, dec, m, q) for q in moduli], moduli)
 
 
+_BOX_STEP = 1 << 13   # triples per vectorized step of the box pass
+_BOX_BATCH = 1 << 16  # deferred queries per _dominance_batch call, at most
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """0..c-1 for each c in counts, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
+def _block_table(vals: np.ndarray, w: np.ndarray, q: int):
+    """In-block cumulative table of one position block.
+
+    table[i, j] sums w over the block's first i points whose value is among
+    the block's j smallest; also returns the sorted values and each point's
+    value rank.
+    """
+    size = len(vals)
+    order = np.argsort(vals)
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    table = np.zeros((size + 1, size + 1), dtype=np.int64)
+    table[np.arange(1, size + 1), rank + 1] = w
+    # Each entry sums at most size reduced values before it is reduced.
+    table = _mod(np.cumsum(_mod(np.cumsum(table, axis=0), q), axis=1), q)
+    return table, vals[order], rank
+
+
+def _block_triples(p: np.ndarray, ip: np.ndarray, d3: np.ndarray, col: int,
+                   end: int, m: int):
+    """The box triples (x3, y1, x1) of the position block [col, end), in
+    steps of about _BOX_STEP; x3 with d3[x3] = 0 is left out.
+    """
+    size = end - col
+    # Every (x4, x3) pair, then the y1 range [lo, y4) of each.
+    x3 = col + _ranges(np.arange(size))
+    y4 = np.repeat(p[col:end], np.arange(size))
+    lo = np.maximum(y4 - y4 % m, p[x3] + 1)
+    cnt = y4 - lo
+    keep = (cnt > 0) & (d3[x3] != 0)
+    x3, lo, cnt = x3[keep], lo[keep], cnt[keep]
+    if len(cnt) == 0:
+        return
+    ends = np.cumsum(cnt)
+    cuts = np.searchsorted(ends, np.arange(_BOX_STEP, int(ends[-1]), _BOX_STEP))
+    bounds = [0, *cuts.tolist(), len(cnt)]
+    for s, e in zip(bounds, bounds[1:]):
+        if s < e:
+            xs3 = np.repeat(x3[s:e], cnt[s:e])
+            ys1 = np.repeat(lo[s:e], cnt[s:e]) + _ranges(cnt[s:e])
+            xs1 = ip[ys1]
+            ok = xs1 < xs3
+            yield xs3[ok], ys1[ok], xs1[ok]
+
+
 def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
          q: int) -> int:
+    """Sum of d3[x3] * d1[x1] * b2 over the box triples, in the ring of q.
+
+    A triple is a candidate `four` x4, a `three` x3 in x4's position block
+    and west of it, and a `one` value y1 in y4's value block below y4, above
+    y3 = p[x3], whose point x1 = ip[y1] lies west of x3.  b2 sums the
+    dangle2 weights w2 strictly inside (x1, x3) x (y3, y1).  With F(X, Y) the
+    sum of w2 over points at positions <= X and values <= Y,
+
+        b2 = F(x3 - 1, y1 - 1) - g3[x1] - g3[x3] + F(x1, y3),
+
+    where g3 = full.dominance_smaller(w2) is F just south-west of a point.
+    Each F splits at the block's west edge: the west part reads a prefix
+    array over values, the in-block part the block's cumulative table.
+    F(x1, y3) with x1 west of the block goes to _dominance_batch, once per
+    block or per _BOX_BATCH queries.
+    """
     n = len(p)
 
     def point_products(trees) -> np.ndarray:
@@ -324,87 +398,60 @@ def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
 
     d3 = point_products(dec.dangle3_trees)
     d1 = point_products(dec.dangle1_trees)
+    if dec.dangle2_tree is None:
+        # Each coef is reduced and a step sums fewer than _BOX_STEP + m.
+        return sum(int(_mod(d3[x3] * d1[x1], q).sum())
+                   for col in range(0, n, m)
+                   for x3, _, x1 in _block_triples(p, ip, d3, col,
+                                                   min(col + m, n), m))
 
-    two_absent = dec.dangle2_tree is None
-    if two_absent:
-        w2 = g3 = None
-    else:
-        w2 = _root_values(dec.dangle2_tree, full, q)
-        g3 = full.dominance_smaller(w2, q)
-
+    w2 = _root_values(dec.dangle2_tree, full, q)
+    g3 = full.dominance_smaller(w2, q)
+    west_w = np.zeros(n, dtype=np.int64)  # w2 by value, west of the block
     total = 0
-    sv = np.empty(0, dtype=np.int64)     # values of points west of the block
-    cw = np.zeros(1, dtype=np.int64)     # prefix sums of their dangle2 weights
-    batch_x: list[np.ndarray] = []
-    batch_y: list[np.ndarray] = []
-    batch_c: list[np.ndarray] = []
-    batch_len = 0
-
-    def flush_batch():
-        nonlocal total, batch_len
-        if batch_len:
-            total += _dominance_batch(p, w2,
-                                      np.concatenate(batch_x),
-                                      np.concatenate(batch_y),
-                                      np.concatenate(batch_c), q)
-            batch_x.clear()
-            batch_y.clear()
-            batch_c.clear()
-            batch_len = 0
-
-    for x4 in range(n):
-        if not two_absent and x4 % m == 0 and x4 > 0:
-            sv = _merge_sorted(sv, np.sort(p[x4 - m:x4]))
-            cw = _prefix_sums(w2[ip[sv]], q)
-        col = x4 - x4 % m
-        y4 = int(p[x4])
-        row = y4 - y4 % m
-        a = x4 - col
-        b = y4 - row
-        if a == 0 or b == 0:
-            continue
-        xs3 = np.arange(col, x4, dtype=np.int64)
-        ys3 = p[xs3]
-        vs1 = np.arange(row, y4, dtype=np.int64)
-        xs1 = ip[vs1]
-        valid = (xs1[None, :] < xs3[:, None]) & (vs1[None, :] > ys3[:, None])
-        if not valid.any():
-            continue
-        coef = _mod(d3[xs3][:, None] * d1[xs1][None, :], q)
-        if two_absent:
-            total += int(np.where(valid, coef, 0).sum())
-            continue
-        w2pool = w2[xs3]
-        t1 = cw[np.searchsorted(sv, vs1)][None, :]
-        cmat = (ys3[:, None] < vs1[None, :]) * w2pool[:, None]
-        t1 = t1 + np.cumsum(cmat, axis=0) - cmat
-        b2 = t1 - g3[xs3][:, None] - g3[xs1][None, :]
-        inb = xs1 >= col
-        if inb.any():
-            f2col_y3 = cw[np.searchsorted(sv, ys3, side="right")]
-            pc = np.cumsum((ys3[:, None] <= ys3[None, :]) * w2pool[:, None],
-                           axis=0)
-            pc0 = np.concatenate([np.zeros((1, a), dtype=np.int64), pc])
-            r = np.clip(xs1[inb] - col + 1, 0, a)
-            b2[:, inb] += f2col_y3[:, None] + pc0[r].T
-        old = ~inb
-        if old.any():
-            sub = valid[:, old]
-            ii, jj = np.nonzero(sub)
-            if len(ii):
-                batch_x.append(xs1[old][jj])
-                batch_y.append(ys3[ii])
-                batch_c.append(coef[:, old][sub])
-                batch_len += len(ii)
-                if batch_len >= (1 << 21):
-                    flush_batch()
-        # b2 sums at most 2m + 2 reduced terms, so it stays below (2m + 2) q.
-        total += int(np.where(valid, _mod(coef * _mod(b2, q), q), 0).sum())
-    flush_batch()
+    for col in range(0, n, m):
+        end = min(col + m, n)
+        if col:
+            west_w[p[col - m:col]] = w2[col - m:col]
+        west = _prefix_sums(west_w, q)  # west[v]: w2 west, values below v
+        table, sorted_vals, rank = _block_table(p[col:end], w2[col:end], q)
+        deferred, pending = [], 0
+        for xs3, ys1, xs1 in _block_triples(p, ip, d3, col, end, m):
+            coef = _mod(d3[xs3] * d1[xs1], q)
+            ys3 = p[xs3]
+            at3 = xs3 - col
+            b2 = (west[ys1] + table[at3, np.searchsorted(sorted_vals, ys1)]
+                  - g3[xs1] - g3[xs3])
+            inb = xs1 >= col
+            b2[inb] += (west[ys3[inb] + 1]
+                        + table[xs1[inb] - col + 1, rank[at3[inb]] + 1])
+            # b2 sums six reduced terms, so it lies in (-2q, 4q) before its
+            # reduction; coef * b2 stays below q^2 < 2^62, and a step sums
+            # fewer than _BOX_STEP + m reduced products.
+            total += int(_mod(coef * _mod(b2, q), q).sum())
+            out = ~inb
+            deferred.append((xs1[out], ys3[out], coef[out]))
+            pending += len(deferred[-1][0])
+            if pending >= _BOX_BATCH:
+                total += _dominance_batch(p, w2, *_joined(deferred), q)
+                deferred, pending = [], 0
+        if pending:
+            total += _dominance_batch(p, w2, *_joined(deferred), q)
     return total
 
 
-_SWEEP_CHUNK = 64
+def _joined(parts: list) -> list[np.ndarray]:
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+_GRID_CELLS = 1 << 20
+
+
+def _count_below(coords: np.ndarray, size: int) -> np.ndarray:
+    """below[v] = number of distinct coords less than v, for v in 0..size-1."""
+    mark = np.zeros(size, dtype=np.int64)
+    mark[coords] = 1
+    return np.cumsum(mark) - mark
 
 
 def _dominance_batch(p: np.ndarray, w2: np.ndarray, qx: np.ndarray,
@@ -412,36 +459,31 @@ def _dominance_batch(p: np.ndarray, w2: np.ndarray, qx: np.ndarray,
     """Sum of qc * F(qx, qy) with F(X, Y) = sum of w2 over points south-west
     of (X, Y), inclusive on both coordinates, in the ring of modulus q.
 
-    Sweeps positions in chunks: queries read a value-sorted prefix array
-    for everything west of their chunk plus a small dense pass over the
-    chunk itself.
+    The points are bucketed onto the grid of the batch's distinct query
+    positions and values: a point lands on the first query column at or east
+    of it and the first query row at or north of it, and F at a query is the
+    2-D prefix sum of the grid up to the query's own cell.  That costs
+    O(n + len(qx) + cells).  A box batch takes its values from one position
+    block, so its grid has at most m rows; a batch whose grid would exceed
+    _GRID_CELLS is split by value.
     """
-    n = len(p)
     if len(qx) == 0:
         return 0
-    c = _SWEEP_CHUNK
-    order = np.argsort(qx, kind="stable")
-    qx, qy, qc = qx[order], qy[order], qc[order]
-    chunk_of_query = qx // c
-    starts = np.searchsorted(chunk_of_query, np.arange((n + c - 1) // c + 1))
-    base_vals = np.empty(0, dtype=np.int64)
-    base_w = np.empty(0, dtype=np.int64)
-    base_cum = np.zeros(1, dtype=np.int64)
-    total = 0
-    for k in range((n + c - 1) // c):
-        lo, hi = starts[k], starts[k + 1]
-        if lo < hi:
-            gx, gy, gc = qx[lo:hi], qy[lo:hi], qc[lo:hi]
-            base_part = base_cum[np.searchsorted(base_vals, gy, side="right")]
-            pts = np.arange(k * c, min((k + 1) * c, n))
-            inside = (pts[None, :] <= gx[:, None]) & \
-                (p[pts][None, :] <= gy[:, None])
-            chunk_part = inside @ w2[pts]
-            total += int(_mod(gc * _mod(base_part + chunk_part, q), q).sum())
-        block_vals = p[k * c:(k + 1) * c]
-        ordv = np.argsort(block_vals)
-        ins = np.searchsorted(base_vals, block_vals[ordv])
-        base_vals = np.insert(base_vals, ins, block_vals[ordv])
-        base_w = np.insert(base_w, ins, w2[k * c:(k + 1) * c][ordv])
-        base_cum = _prefix_sums(base_w, q)
-    return total
+    xsize = int(qx.max()) + 1  # points east of every query never count
+    col_of = _count_below(qx, xsize)
+    row_of = _count_below(qy, len(p))
+    ncols = int(col_of[-1]) + 1
+    top = int(qy.max())
+    nrows = int(row_of[top]) + 1
+    if ncols * nrows > _GRID_CELLS and nrows > 1:
+        low = qy < np.unique(qy)[nrows // 2]
+        return (_dominance_batch(p, w2, qx[low], qy[low], qc[low], q)
+                + _dominance_batch(p, w2, qx[~low], qy[~low], qc[~low], q))
+    rows = row_of[p[:xsize]]
+    inside = rows < nrows
+    grid = np.zeros(ncols * nrows, dtype=np.int64)
+    np.add.at(grid, col_of[inside] * nrows + rows[inside], w2[:xsize][inside])
+    # A cell sums at most n reduced values, so it stays below n * q < 2^63.
+    grid = _mod(grid, q).reshape(ncols, nrows)
+    grid = _mod(np.cumsum(_mod(np.cumsum(grid, axis=0), q), axis=1), q)
+    return int(_mod(qc * grid[col_of[qx], row_of[qy]], q).sum())

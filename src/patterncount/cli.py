@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import random
 import sys
 import time
@@ -38,6 +39,8 @@ from .core import (
 EXIT_SELFTEST = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
+
+log = logging.getLogger("patterncount.cli")
 
 
 class ParseFailure(ValueError):
@@ -186,8 +189,8 @@ def _resolve_algorithm(value, requested: str) -> str:
         return "general"
     if isinstance(value, DoublePoset) and classify(value).is_twin_tree:
         return "general"
-    print("note: falling back to naive morphism counting for a general "
-          "double poset", file=sys.stderr)
+    log.warning("falling back to naive morphism counting for a general "
+                "double poset")
     return "naive"
 
 
@@ -198,11 +201,14 @@ def cmd_count(args) -> int:
     pi = read_permutation(args.perm)
     value = read_tree_file(args.tree)
     algorithm = _resolve_algorithm(value, args.algorithm)
+    report = {}
     t0 = time.perf_counter()
     if algorithm == "block":
         if not isinstance(value, gen3214.ArboNE):
             raise Inapplicable("the block algorithm needs an arbo_ne file")
-        count = gen3214.count_gen_3214(pi, value, args.block_size)
+        m = args.block_size or gen3214.default_block_size(pi.n)
+        report["block_size"] = m
+        count = gen3214.count_gen_3214(pi, value, m)
     elif algorithm == "general":
         count = counting.count_corner_tree(pi, _as_corner_tree(value))
     elif algorithm == "stream":
@@ -211,8 +217,8 @@ def cmd_count(args) -> int:
         count = counting.naive_morphism_count(_as_double_poset(value), pi)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
-        print(json.dumps({"count": count, "algorithm": algorithm,
-                          "n": pi.n, "elapsed_ms": round(elapsed_ms, 3)}))
+        print(json.dumps({"count": count, "algorithm": algorithm, "n": pi.n,
+                          **report, "elapsed_ms": round(elapsed_ms, 3)}))
     else:
         print(count)
     return 0
@@ -443,6 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The package's warnings go to this invocation's stderr.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    package_log = logging.getLogger("patterncount")
+    package_log.addHandler(handler)
     try:
         return args.func(args)
     except ParseFailure as exc:
@@ -451,6 +462,8 @@ def main(argv=None) -> int:
     except (Inapplicable, trees.TooLarge, counting.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
+    finally:
+        package_log.removeHandler(handler)
 
 
 if __name__ == "__main__":

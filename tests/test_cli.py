@@ -4,7 +4,12 @@ import pytest
 
 from patterncount.cli import main, parse_tree_spec, tree_spec_to_dict
 from patterncount.core import double_poset, perm, perm_to_dp
-from patterncount.gen3214 import bare_3214, build_arbo, level5_arbos
+from patterncount.gen3214 import (
+    bare_3214,
+    build_arbo,
+    default_block_size,
+    level5_arbos,
+)
 from patterncount.trees import CornerTree, SNPolytree
 
 
@@ -51,7 +56,12 @@ def test_count_block_and_json(write, capsys):
     assert doc["count"] == 4
     assert doc["algorithm"] == "block"
     assert doc["n"] == 5
+    assert doc["block_size"] == default_block_size(5) == 4
     assert "elapsed_ms" in doc
+    assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                 "--algorithm", "block", "--block-size", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["count"], doc["block_size"]) == (4, 3)
 
 
 def test_count_auto_prefers_block_for_arbo(write, capsys):

@@ -31,6 +31,7 @@ from patterncount.gen3214 import (
     count_type_a,
     count_type_b_not_a,
     decompose,
+    default_block_size,
     level5_arbos,
     morphism_bound,
     validate_arbo,
@@ -293,11 +294,33 @@ def test_fast_paths_match_exact_structured_inputs():
                     count_gen_3214(pi, arbo, m, method="exact")
 
 
-def test_gen_default_block_size_uses_cube_root():
+def test_gen_default_block_size_rule():
+    # Four times the integer cube root.  A benchmark check reruns 3214 at
+    # m = 2 * round(4000^(1/3)) = 32, which must stay a different block size.
+    assert [default_block_size(n) for n in (0, 1, 7, 8, 60, 4000, 20_000)] == \
+        [4, 4, 4, 8, 12, 60, 108]
+    assert default_block_size(4000) != 2 * round(4000 ** (1 / 3))
     rng = random.Random(48)
     pi = random_perm(rng, 60)
     arbo = bare_3214()
     assert count_gen_3214(pi, arbo) == count_gen_3214(pi, arbo, 3)
+
+
+@pytest.mark.parametrize("method", ["bogus", "Exact", None])
+def test_unknown_method_is_rejected(method):
+    for pi in (perm([4, 3, 2, 1, 5]), Permutation(())):
+        for fn in (count_gen_3214, count_type_a, count_type_b_not_a, count_box):
+            with pytest.raises(ValueError, match="method must be one of"):
+                fn(pi, bare_3214(), 2, method)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, "3", True])
+def test_block_size_must_be_an_int(m):
+    for pi in (perm([4, 3, 2, 1, 5]), Permutation(())):
+        for fn in (count_gen_3214, count_type_a, count_type_b_not_a, count_box):
+            for method in ("auto", "exact"):
+                with pytest.raises(ValueError, match="must be an int"):
+                    fn(pi, bare_3214(), m, method)
 
 
 def test_level5_arbos_validate():
@@ -364,6 +387,56 @@ def test_ring_path_above_int64_two_primes():
     count = count_gen_3214(pi, arbo)
     assert count > 2 ** 64
     assert count == count_gen_3214(pi, arbo, method="exact")
+
+
+def _counting_batches(monkeypatch):
+    sizes = []
+    real = _fast._dominance_batch
+
+    def counted(*args):
+        sizes.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(_fast, "_dominance_batch", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("arbo", [bare_3214(), level5_arbos()[1], level5_arbos()[2]],
+                         ids=["3214", "3214+d2", "3214+d3"])
+def test_box_steps_match_exact(arbo, monkeypatch):
+    # n = 600, m = 40: 15 blocks and about 50 000 deferred F(x1, y3) queries
+    # (up to about 7000 from one block).  Steps of 2^8 triples and batches
+    # of 2^10 queries split each block into many steps and several batches.
+    monkeypatch.setattr(_fast, "_BOX_STEP", 1 << 8)
+    monkeypatch.setattr(_fast, "_BOX_BATCH", 1 << 10)
+    sizes = _counting_batches(monkeypatch)
+    pi = random_perm(random.Random(52), 600)
+    assert count_box(pi, arbo, 40, method="fast") == \
+        count_box(pi, arbo, 40, method="exact")
+    assert len(sizes) > 3 * 15 and sum(sizes) > 40_000
+    assert max(sizes) < (1 << 10) + (1 << 8) + 40
+
+
+def test_box_grid_split_matches_exact(monkeypatch):
+    # A cap of 64 cells forces _dominance_batch to split every batch by value.
+    monkeypatch.setattr(_fast, "_GRID_CELLS", 64)
+    pi = random_perm(random.Random(53), 300)
+    for arbo in (level5_arbos()[1], build_arbo(True, (1, 4))):
+        assert count_box(pi, arbo, 20, method="fast") == \
+            count_box(pi, arbo, 20, method="exact")
+
+
+@pytest.mark.filterwarnings("error")
+def test_ring_path_at_default_block_size():
+    # wide-three at n = 1100 needs one prime pass; at the default m the box
+    # takes the block-wise path with steps and batches in both rings.
+    arbo = build_arbo(True, (2, 2, 2, 2))
+    pi = random_perm(random.Random(202), 1100)
+    m = default_block_size(pi.n)
+    assert len(_fast._moduli(morphism_bound(arbo, pi.n))) == 2
+    assert count_box(pi, arbo, m, method="fast") == \
+        count_box(pi, arbo, m, method="exact")
+    assert count_gen_3214(pi, arbo) == count_gen_3214(pi, arbo, 10)
 
 
 def _direct_sum(a, b):
