@@ -10,15 +10,18 @@ counting and gen3214, reorganized so numpy does the work:
   NW = position prefix - SW, SE = key prefix - SW, and
   NE = total - x - position prefix - key prefix + SW, where the position
   prefix sums x over earlier points and the key prefix sums x over smaller
-  keys.  count_corner_tree runs it on a whole permutation; the type-A/B
-  passes run it on each block's gated point set, whose root values depend
-  only on that set.
-* The box pass takes one position block at a time.  It lists the block's
-  (four, three, one) candidate triples as flat arrays, reads the in-block
-  terms from one cumulative table per block and the west-of-block terms
-  from a prefix array over values, and sends the one term with both corners
-  west of the block to _dominance_batch, which buckets the points onto the
-  grid of the batch's distinct query coordinates.
+  keys.  count_corner_tree runs it on a whole permutation.  Types A and B
+  share one gated pass, over positions for type A and over values for
+  type B; it runs the engine on each block's gated point set, whose root
+  values depend only on that set.
+* The box pass weighs its triples with the root values of one dangle tree
+  per anchor, each from one scan of the whole permutation.  It takes one
+  position block at a time: it lists the block's (four, three, one)
+  candidate triples as flat arrays, reads the in-block terms from one
+  cumulative table per block and the west-of-block terms from a prefix
+  array over values, and sends the one term with both corners west of the
+  block to _dominance_batch, which buckets the points onto the grid of the
+  batch's distinct query coordinates.
 
 Counts live in ring arithmetic, so they are exact on every input.  Only
 positions and values are ever compared; a count only meets +, -, * and
@@ -255,10 +258,6 @@ def _perm_arrays(pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
     return p, ip
 
 
-def _merge_sorted(base: np.ndarray, extra_sorted: np.ndarray) -> np.ndarray:
-    return np.insert(base, np.searchsorted(base, extra_sorted), extra_sorted)
-
-
 def count_corner_tree(pi: Permutation, tree: CornerTree, bound: int) -> int:
     """Occurrences of the corner tree in pi, given that they are at most bound."""
     p, _ = _perm_arrays(pi)
@@ -271,37 +270,39 @@ def count_corner_tree(pi: Permutation, tree: CornerTree, bound: int) -> int:
 def count_type_a(pi: Permutation, west_tree: CornerTree, m: int,
                  bound: int) -> int:
     """The type-A count, given that it is at most bound."""
-    n = pi.n
     p, ip = _perm_arrays(pi)
-    moduli = _moduli(bound)
-    totals = [0] * len(moduli)
-    gpos = np.empty(0, dtype=np.int64)
-    for r in range(m, n, m):
-        gpos = _merge_sorted(gpos, np.sort(ip[r - m:r]))
-        schedule = _SplitSchedule(p[gpos])
-        at = np.searchsorted(gpos, ip[r:min(r + m, n)])
-        for k, q in enumerate(moduli):
-            croots = _prefix_sums(_root_values(west_tree, schedule, q), q)
-            totals[k] += int(croots[at].sum())
-    return _crt(totals, moduli)
+    return _gated_pass(p, ip, west_tree, m, bound, own_block=False)
 
 
 def count_type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int,
                        bound: int) -> int:
     """The type-B-not-A count, given that it is at most bound."""
-    n = pi.n
     p, ip = _perm_arrays(pi)
+    return _gated_pass(ip, p, inv_west_tree, m, bound, own_block=True)
+
+
+def _gated_pass(g: np.ndarray, inv: np.ndarray, tree: CornerTree, m: int,
+                bound: int, own_block: bool) -> int:
+    """One gated scan per block of g's values, given a count at most bound.
+
+    The scan index s runs over 0..n-1 and g[s] is its gate coordinate; inv
+    is g's inverse.  For the block [r, r + m) the points with g[s] < r feed
+    the tree scan, and each candidate s = inv[v], v in the block, collects
+    the root placements at gated points before it, or with own_block only
+    those in its own block of scan indices.  Type A scans positions with
+    g = p; type B scans values with g = ip and own_block.
+    """
+    n = len(g)
     moduli = _moduli(bound)
     totals = [0] * len(moduli)
-    gs = np.empty(0, dtype=np.int64)
-    for c in range(m, n, m):
-        gs = _merge_sorted(gs, np.sort(p[c - m:c]))
-        schedule = _SplitSchedule(ip[gs])
-        cand = p[c:min(c + m, n)]
-        hi = np.searchsorted(gs, cand)
-        lo = np.searchsorted(gs, cand - cand % m)
+    for r in range(m, n, m):
+        gated = np.flatnonzero(g < r)
+        schedule = _SplitSchedule(g[gated])
+        cand = inv[r:min(r + m, n)]
+        start = cand - cand % m if own_block else np.zeros_like(cand)
+        lo, hi = np.searchsorted(gated, start), np.searchsorted(gated, cand)
         for k, q in enumerate(moduli):
-            croots = _prefix_sums(_root_values(inv_west_tree, schedule, q), q)
+            croots = _prefix_sums(_root_values(tree, schedule, q), q)
             totals[k] += int(croots[hi].sum()) - int(croots[lo].sum())
     return _crt(totals, moduli)
 
@@ -388,16 +389,8 @@ def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
     block or per _BOX_BATCH queries.
     """
     n = len(p)
-
-    def point_products(trees) -> np.ndarray:
-        prod = np.ones(n, dtype=np.int64)
-        for tree in trees:
-            weights = _root_values(tree, full, q)
-            prod = _mod(prod * full.dominance_smaller(weights, q), q)
-        return prod
-
-    d3 = point_products(dec.dangle3_trees)
-    d1 = point_products(dec.dangle1_trees)
+    d3 = _root_values(dec.dangle3_tree, full, q)
+    d1 = _root_values(dec.dangle1_tree, full, q)
     if dec.dangle2_tree is None:
         # Each coef is reduced and a step sums fewer than _BOX_STEP + m.
         return sum(int(_mod(d3[x3] * d1[x1], q).sum())

@@ -32,9 +32,8 @@ from .core import (
     anti,
     canonical_form,
 )
-from .trees import TooLarge, enumerate_snpolytrees, snpolytree_to_dp
+from .trees import _ENUM_CAP, TooLarge, enumerate_snpolytrees, snpolytree_to_dp
 
-_ENUM_CAP = 6
 _PHI_CAP = 4
 RANK_LEVEL_CAP = 5
 MORPHISM_KINDS = ("mor", "mono", "epi", "regmono", "regepi", "iso", "aut")

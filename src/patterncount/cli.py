@@ -81,17 +81,9 @@ def parse_tree_spec(doc: dict):
             edges = tuple((t, h, lab) for t, h, lab in doc["edges"])
             return trees.SNPolytree(tuple(doc["nodes"]), edges)
         if kind == "double_poset":
-            return double_poset(
-                int(doc["n"]),
-                [tuple(p) for p in doc["west"]],
-                [tuple(p) for p in doc["south"]],
-            )
+            return _read_double_poset(doc)
         if kind == "arbo_ne":
-            dp = double_poset(
-                int(doc["n"]),
-                [tuple(p) for p in doc["west"]],
-                [tuple(p) for p in doc["south"]],
-            )
+            dp = _read_double_poset(doc)
             anchors = doc["anchors"]
             two = anchors.get("two")
             return gen3214.validate_arbo(
@@ -104,6 +96,14 @@ def parse_tree_spec(doc: dict):
     except ValueError as exc:
         raise ParseFailure(f"invalid {kind!r} document: {exc}") from exc
     raise ParseFailure(f"unknown tree type {kind!r}")
+
+
+def _read_double_poset(doc: dict) -> DoublePoset:
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseFailure(f"field 'n' must be an integer, got {n!r}")
+    return double_poset(n, [tuple(p) for p in doc["west"]],
+                        [tuple(p) for p in doc["south"]])
 
 
 def tree_spec_to_dict(value) -> dict:

@@ -90,6 +90,8 @@ class StrictPoset:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidInput(f"ground set size must be nonnegative, got {self.n}")
         succ = [0] * self.n
         for a, b in self.pairs:
             if not (0 <= a < self.n and 0 <= b < self.n):

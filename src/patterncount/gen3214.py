@@ -21,11 +21,17 @@ costs about n * m^2: it pairs every candidate `four` with the `three` and
 `one` candidates of its own blocks.  With m proportional to n^(1/3) the
 total work is ~n^(5/3) up to logs; default_block_size picks the constant.
 
+Type B is type A with positions and values exchanged, so both passes run
+one gated scan per block, over positions for type A and over values for
+type B.  For the box, each of `one`, `two` and `three` carries one tree of
+the dangles below it (see decompose).
+
 method="auto" and "fast" run the numpy passes of the _fast module, which
 handle one position block at a time.  method="exact" runs the streaming
 reference passes, kept as oracles: a gated StreamWestCounter per block for
-types A and B, and for the box one 2-D accumulator per dangle subtree and
-a loop over every candidate `four`.
+types A and B, and for the box the dangle weights of `one` and `three` as
+lists, a 2-D accumulator only for the dangle2 box sums, and a loop over
+every candidate `four`.
 """
 
 from __future__ import annotations
@@ -85,8 +91,8 @@ class ArboNE:
 class ArboDecomposition:
     west_tree: CornerTree
     inv_west_tree: CornerTree
-    dangle3_trees: tuple[CornerTree, ...]
-    dangle1_trees: tuple[CornerTree, ...]
+    dangle3_tree: CornerTree
+    dangle1_tree: CornerTree
     dangle2_tree: CornerTree | None
 
 
@@ -192,8 +198,10 @@ def decompose(arbo: ArboNE) -> ArboDecomposition:
 
     west_tree roots the tree part at `three`, which forces all labels west;
     inv_west_tree does the same for the swapped orders rooted at `one` and
-    is scanned over the inverse permutation.  Dangle subtrees are split off
-    for the box pass.
+    is scanned over the inverse permutation.  For the box pass, each anchor
+    gets one tree of the dangles below it: dangle3_tree and dangle1_tree are
+    rooted at `three` and `one`, and dangle2_tree (None without `two`) at
+    `two`; the spine edges are left out.
     """
     rest = [v for v in range(arbo.n) if v != arbo.four]
     idx = {v: i for i, v in enumerate(rest)}
@@ -206,35 +214,24 @@ def decompose(arbo: ArboNE) -> ArboDecomposition:
     assert west_tree.labels() <= {"NW", "SW"}
     assert inv_west_tree.labels() <= {"NW", "SW"}
 
-    def subtree(node) -> CornerTree:
-        keep_edges = []
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            for c, lab in west_tree.children(u):
-                keep_edges.append((u, c, lab))
-                stack.append(c)
-        return CornerTree(node, tuple(keep_edges))
+    dangle3_tree = _subtree(west_tree, i3, skip=i1 if i2 is None else i2)
+    dangle2_tree = None if i2 is None else _subtree(west_tree, i2, skip=i1)
+    return ArboDecomposition(west_tree, inv_west_tree, dangle3_tree,
+                             _subtree(west_tree, i1), dangle2_tree)
 
-    spine_next = {i3: i2 if i2 is not None else i1}
-    if i2 is not None:
-        spine_next[i2] = i1
-    dangle3 = tuple(subtree(c) for c, lab in west_tree.children(i3)
-                    if c != spine_next[i3])
-    dangle1 = tuple(subtree(c) for c, _ in west_tree.children(i1))
-    dangle2_tree = None
-    if i2 is not None:
-        inner = []
-        stack = [i2]
-        while stack:
-            u = stack.pop()
-            for c, lab in west_tree.children(u):
-                if u == i2 and c == i1:
-                    continue
-                inner.append((u, c, lab))
+
+def _subtree(tree: CornerTree, node, skip=None) -> CornerTree:
+    """The subtree of tree rooted at node, without node's child skip and
+    everything below it."""
+    edges = []
+    stack = [node]
+    while stack:
+        u = stack.pop()
+        for c, lab in tree.children(u):
+            if c != skip:
+                edges.append((u, c, lab))
                 stack.append(c)
-        dangle2_tree = CornerTree(i2, tuple(inner))
-    return ArboDecomposition(west_tree, inv_west_tree, dangle3, dangle1, dangle2_tree)
+    return CornerTree(node, tuple(edges))
 
 
 _METHODS = ("auto", "fast", "exact")
@@ -279,18 +276,26 @@ def morphism_bound(arbo: ArboNE, n: int) -> int:
     return n ** arbo.n // math.prod(below[v] + 1 for v in range(arbo.n))
 
 
-# ------------------------------------------------------------- type A
+# ------------------------------------------------------- types A and B
 
-def _type_a_block(pi: Permutation, tree: CornerTree, row: int, m: int) -> int:
-    counter = StreamWestCounter(tree, pi.n)
-    gate_total = 0
-    out = 0
-    hi = row + m
-    for x, y in enumerate(pi.zero_indexed()):
-        if y < row:
-            gate_total += counter.process(x, y)
-        elif y < hi:
-            out += gate_total
+def _gated_block(g: tuple[int, ...], tree: CornerTree, r: int, m: int,
+                 own_block: bool) -> int:
+    """One gated stream over the scan index s, with gate coordinate g[s].
+
+    Points with g[s] < r feed the tree scan; a candidate with g[s] in
+    [r, r + m) collects the root placements fed before it, or with
+    own_block only those fed since the start of its own block of scan
+    indices.
+    """
+    counter = StreamWestCounter(tree, len(g))
+    gate_total = snapshot = out = 0
+    for s, x in enumerate(g):
+        if own_block and s % m == 0:
+            snapshot = gate_total
+        if x < r:
+            gate_total += counter.process(s, x)
+        elif x < r + m:
+            out += gate_total - snapshot
     return out
 
 
@@ -310,28 +315,9 @@ def count_type_a(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") ->
         from . import _fast
 
         return _fast.count_type_a(pi, dec.west_tree, m, morphism_bound(arbo, n))
-    return sum(_type_a_block(pi, dec.west_tree, r, m) for r in range(0, n, m))
-
-
-# ------------------------------------------------------ type B not A
-
-def _type_b_block(inv_vals: tuple[int, ...], tree: CornerTree, col: int,
-                  m: int) -> int:
-    n = len(inv_vals)
-    counter = StreamWestCounter(tree, n)
-    gate_total = 0
-    snapshot = 0
-    out = 0
-    hi = col + m
-    for s in range(n):
-        if s % m == 0:
-            snapshot = gate_total
-        x = inv_vals[s]
-        if x < col:
-            gate_total += counter.process(s, x)
-        elif x < hi:
-            out += gate_total - snapshot
-    return out
+    vals = pi.zero_indexed()
+    return sum(_gated_block(vals, dec.west_tree, r, m, False)
+               for r in range(m, n, m))
 
 
 def count_type_b_not_a(pi: Permutation, arbo: ArboNE, m: int,
@@ -355,8 +341,8 @@ def count_type_b_not_a(pi: Permutation, arbo: ArboNE, m: int,
         return _fast.count_type_b_not_a(pi, dec.inv_west_tree, m,
                                         morphism_bound(arbo, n))
     inv_vals = pi.inverse().zero_indexed()
-    return sum(_type_b_block(inv_vals, dec.inv_west_tree, c, m)
-               for c in range(0, n, m))
+    return sum(_gated_block(inv_vals, dec.inv_west_tree, c, m, True)
+               for c in range(m, n, m))
 
 
 # ---------------------------------------------------------------- box
@@ -374,9 +360,9 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
     in its position block and for `one` in its value block, and multiplies
     the dangle placements: box sums of the dangle2 weights between `one`
     and `three`, south-west sums for the dangles below `one` and `three`.
-    The exact path fills one 2-D accumulator per dangle subtree and loops
-    over the candidates; the numpy path handles one position block at a
-    time.
+    The exact path reads the dangle weights below `three` and `one` from
+    two lists, the dangle2 box sums from one 2-D accumulator, and loops over
+    the candidates; the numpy path handles one position block at a time.
     """
     m = _check_block_args(m, method)
     n = pi.n
@@ -390,51 +376,32 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
     vals = pi.zero_indexed()
     inv = pi.inverse().zero_indexed()
 
-    def fill(tree: CornerTree) -> ProductTree:
-        box = ProductTree(n)
-        for x, w in enumerate(dangle_weights(pi, tree)):
-            box.add(x, vals[x], w)
-        return box
-
-    d3_boxes = [fill(t) for t in dec.dangle3_trees]
-    d1_boxes = [fill(t) for t in dec.dangle1_trees]
-    d2_box = fill(dec.dangle2_tree) if dec.dangle2_tree is not None else None
+    d3 = dangle_weights(pi, dec.dangle3_tree)
+    d1 = dangle_weights(pi, dec.dangle1_tree)
+    d2_box = None
+    if dec.dangle2_tree is not None:
+        d2_box = ProductTree(n)
+        for x, w in enumerate(dangle_weights(pi, dec.dangle2_tree)):
+            d2_box.add(x, vals[x], w)
 
     total = 0
     for x4 in range(n):
         y4 = vals[x4]
         col = x4 - x4 % m
         row = y4 - y4 % m
-        d1_cache = {}
         for x3 in range(col, x4):
             y3 = vals[x3]
-            d3 = 1
-            for box in d3_boxes:
-                d3 *= box.sum_box(0, x3, 0, y3)
-                if not d3:
-                    break
-            if not d3:
+            if not d3[x3]:
                 continue
             for y1 in range(max(row, y3 + 1), y4):
                 x1 = inv[y1]
-                if x1 >= x3:
-                    continue
-                if y1 in d1_cache:
-                    d1 = d1_cache[y1]
-                else:
-                    d1 = 1
-                    for box in d1_boxes:
-                        d1 *= box.sum_box(0, x1, 0, y1)
-                        if not d1:
-                            break
-                    d1_cache[y1] = d1
-                if not d1:
+                if x1 >= x3 or not d1[x1]:
                     continue
                 if d2_box is None:
                     b2 = 1
                 else:
                     b2 = d2_box.sum_box(x1 + 1, x3, y3 + 1, y1)
-                total += d3 * d1 * b2
+                total += d3[x3] * d1[x1] * b2
     return total
 
 

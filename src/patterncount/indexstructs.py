@@ -3,8 +3,10 @@
 Both are realized as binary indexed (Fenwick) trees, which have the same
 logarithmic update/query costs as a complete binary tree of partial sums.
 Python integers are arbitrary precision, so counts never overflow.  The
-streaming reference paths use these trees; the vectorized paths in _fast
-are exact by ring arithmetic and need neither.
+streaming reference paths use these trees: the corner-tree scans and
+StreamWestCounter use sum-trees, and the exact box pass of gen3214 one
+product-tree, for the box sums of the dangle weights below `two`.  The
+vectorized paths in _fast are exact by ring arithmetic and need neither.
 """
 
 from __future__ import annotations

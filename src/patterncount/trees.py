@@ -225,6 +225,7 @@ def dp_to_snpolytree(d: DoublePoset) -> SNPolytree:
     return SNPolytree(tuple(range(d.n)), tuple(edges))
 
 
+# The most elements that the brute-force enumerations here and in algebra take.
 _ENUM_CAP = 6
 
 
@@ -260,35 +261,14 @@ def enumerate_snpolytrees(k: int) -> list[SNPolytree]:
 @lru_cache(maxsize=None)
 def _free_tree_shapes(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Edge lists of the free (unlabeled) trees on k nodes, one per shape."""
-    if k == 1:
-        return ((),)
     shapes = {}
-    # Labeled trees on 0..k-1 via parent arrays; dedup by unlabeled certificate.
-    for parents in itertools.product(range(k), repeat=k - 1):
+    # Parent arrays with parent[c] < c are exactly the trees on 0..k-1 in
+    # which every path from 0 increases, and every free tree has such a
+    # labelling (number it breadth-first); dedup by unlabeled certificate.
+    for parents in itertools.product(*(range(c) for c in range(1, k))):
         edges = tuple((parents[child - 1], child) for child in range(1, k))
-        if not _is_connected_tree(edges, k):
-            continue
-        cert = _tree_certificate(edges, k)
-        if cert not in shapes:
-            shapes[cert] = edges
+        shapes.setdefault(_tree_certificate(edges, k), edges)
     return tuple(shapes.values())
-
-
-def _is_connected_tree(edges, k) -> bool:
-    adj = {i: [] for i in range(k)}
-    for a, b in edges:
-        if a == b:
-            return False
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == k
 
 
 def _tree_certificate(edges, k) -> str:

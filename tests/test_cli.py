@@ -118,6 +118,22 @@ def test_count_parse_failures(write):
                  "--tree", tree_file]) == 2
 
 
+@pytest.mark.parametrize("n", [-1, 4.5, 4.0, True, "4", None])
+@pytest.mark.parametrize("kind", ["double_poset", "arbo_ne"])
+def test_bad_ground_set_size(kind, n, write, capsys):
+    # bare 3214 with n = 4 is valid; n = -1 fails only with empty orders.
+    doc = dict(arbo_doc(bare_3214()), type=kind, n=n)
+    if n == -1:
+        doc.update(west=[], south=[])
+    tree_file = write("d.json", doc)
+    assert main(["validate", "--tree", tree_file]) == 2
+    assert main(["count", "--perm", write("p.txt", "2 1 3"),
+                 "--tree", tree_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
 def test_count_naive_on_plain_double_poset(write, capsys):
     perm_file = write("p.txt", "2 1 3")
     doc = {"type": "double_poset", "n": 2, "west": [[0, 1]], "south": []}

@@ -195,6 +195,14 @@ def test_closure_rejects_cycle():
         transitive_closure([(0, 0)], 1)
 
 
+def test_negative_ground_set_is_rejected():
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        StrictPoset(-1, frozenset())
+    with pytest.raises(InvalidInput):
+        double_poset(-1, [], [])
+    assert StrictPoset(0, frozenset()).is_total()
+
+
 def test_closure_idempotent():
     rng = random.Random(6)
     for _ in range(30):

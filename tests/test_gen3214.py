@@ -18,6 +18,7 @@ from patterncount.core import (
     swap,
 )
 from patterncount.counting import count_morphisms_into_perm, naive_morphism_count
+from patterncount.trees import CornerTree
 from patterncount.gen3214 import (
     ArboNE,
     BadDangleOrientation,
@@ -152,7 +153,8 @@ def test_decompose_bare():
     dec = decompose(bare_3214())
     assert dec.west_tree.edges == ((1, 0, "NW"), (2, 1, "NW"))
     assert dec.west_tree.root == 2
-    assert dec.dangle3_trees == () and dec.dangle1_trees == ()
+    assert dec.dangle3_tree == CornerTree(2, ())
+    assert dec.dangle1_tree == CornerTree(0, ())
     assert dec.dangle2_tree is not None
     assert dec.dangle2_tree.edges == () and dec.dangle2_tree.root == 1
 
@@ -164,14 +166,15 @@ def test_decompose_labels_are_west_and_dangles_sw():
         dec = decompose(arbo)
         assert dec.west_tree.labels() <= {"NW", "SW"}
         assert dec.inv_west_tree.labels() <= {"NW", "SW"}
-        for t in dec.dangle3_trees + dec.dangle1_trees:
-            assert t.labels() <= {"SW"}
+        assert dec.dangle3_tree.root == (1 if arbo.two is None else 2)
+        assert dec.dangle1_tree.root == 0
+        anchor_trees = [dec.dangle3_tree, dec.dangle1_tree]
         if dec.dangle2_tree is not None:
-            assert dec.dangle2_tree.labels() <= {"SW"}
-        sizes = (dec.dangle2_tree.size() if dec.dangle2_tree else 0) + \
-            sum(t.size() for t in dec.dangle3_trees + dec.dangle1_trees)
-        spine = 2 if arbo.two is None else 2  # one and three live in west_tree only
-        assert sizes + spine == arbo.n - 1
+            anchor_trees.append(dec.dangle2_tree)
+        for t in anchor_trees:
+            assert t.labels() <= {"SW"}
+        # Each vertex below the top lies in exactly one anchor's tree.
+        assert sum(t.size() for t in anchor_trees) == arbo.n - 1
 
 
 def test_decompose_swap_transposes():
@@ -243,6 +246,14 @@ def test_total_matches_morphism_count():
         for m in (1, 2, n):
             assert count_gen_3214(pi, arbo, m) == \
                 naive_morphism_count(arbo.dp, pi)
+    # Several dangles on one anchor.  Fast and exact share decompose, so a
+    # dangle tree that lost an edge shows only against this oracle.
+    for arbo in (build_arbo(True, (0, 0)), build_arbo(True, (2, 4))):
+        for _ in range(4):
+            pi = random_perm(rng, 12)
+            expected = naive_morphism_count(arbo.dp, pi)
+            for m in (1, 3, 12):
+                assert count_gen_3214(pi, arbo, m) == expected
 
 
 def test_symmetry_type_b_equals_swapped_type_a_not_b():
@@ -273,6 +284,8 @@ def test_fast_paths_match_exact():
     arbos = [bare_3214(), build_arbo(False)] + list(level5_arbos()) + [
         build_arbo(True, (0, 2, 4)),   # dangle chain below one, dangle below three
         build_arbo(False, (0, 1, 3)),  # no two, nested dangles
+        build_arbo(True, (0, 0)),      # two leaves below one
+        build_arbo(True, (2, 4)),      # a nested dangle below three
     ]
     for arbo in arbos:
         for n, m in [(64, 4), (257, 7), (398, 1), (350, 22)]:
@@ -329,9 +342,9 @@ def test_level5_arbos_validate():
         assert a.n == 5
     # A dangle below `three` keeps west a total order on the tree part.
     dec = decompose(a3)
-    assert len(dec.dangle3_trees) == 1
+    assert dec.dangle3_tree.size() == 2 and dec.dangle1_tree.size() == 1
     dec1 = decompose(a1)
-    assert len(dec1.dangle1_trees) == 1
+    assert dec1.dangle1_tree.size() == 2 and dec1.dangle3_tree.size() == 1
     dec2 = decompose(a2)
     assert dec2.dangle2_tree is not None and dec2.dangle2_tree.size() == 2
 
@@ -471,7 +484,9 @@ structured_perms = st.one_of(
 @given(pi=structured_perms,
        arbo=st.sampled_from(LEVEL5_MEMBERS + [build_arbo(False),
                                               build_arbo(True, (0, 2)),
-                                              build_arbo(False, (0, 1))]))
+                                              build_arbo(False, (0, 1)),
+                                              build_arbo(True, (0, 0)),
+                                              build_arbo(True, (2, 4))]))
 def test_structured_inputs_match_morphism_count(pi, arbo):
     expected = count_morphisms_into_perm(arbo.dp, pi)
     n = pi.n

@@ -22,6 +22,7 @@ from patterncount.trees import (
     snpolytree_to_ct,
     snpolytree_to_dp,
 )
+from patterncount.trees import _free_tree_shapes
 
 
 def random_corner_tree(rng, max_nodes=6) -> CornerTree:
@@ -180,6 +181,13 @@ def test_312_is_not_twin_tree():
 def test_enumerate_sizes_1_and_2():
     assert len(enumerate_snpolytrees(1)) == 1
     assert len(enumerate_snpolytrees(2)) == 2
+
+
+def test_free_tree_shapes_and_polytree_counts():
+    # Free trees on k nodes (OEIS A000055) and SN polytree classes.
+    assert [len(_free_tree_shapes(k)) for k in range(1, 7)] == [1, 1, 1, 2, 3, 6]
+    assert [len(enumerate_snpolytrees(k)) for k in range(1, 6)] == \
+        [1, 2, 10, 52, 331]
 
 
 def test_enumerate_all_twin_trees_and_distinct():
