@@ -10,7 +10,9 @@ identities that justify them and exact ranks of pattern-vector families.
 
 Every computation here is exact and runs over small ground sets under
 explicit caps.  Morphism classes, the change of basis and the factorization
-checks search maps one target at a time.  Pattern vectors do not: a
+checks search maps one target at a time, all through core._iter_morphisms:
+count_epis counts its surjective maps, morphism_class_counts and
+check_factorization classify every map it yields.  Pattern vectors do not: a
 surjective morphism onto a permutation is a pair of chain surjections of
 the two orders with the same kernel, so each order's chain surjections are
 enumerated once and paired by kernel, and the work is the sum of the
@@ -29,8 +31,10 @@ from .core import (
     DoublePoset,
     Permutation,
     StrictPoset,
+    _iter_morphisms,
     anti,
     canonical_form,
+    transitive_closure,
 )
 from .trees import _ENUM_CAP, TooLarge, enumerate_snpolytrees, snpolytree_to_dp
 
@@ -55,78 +59,28 @@ class MorphismClassCounts:
     aut: int
 
 
-def _pair_codes(d: DoublePoset) -> list[list[tuple[int, int]]]:
-    """codes[a][b] = (west, south) comparison of a vs b as -1/0/+1."""
-
-    def code(p: StrictPoset, a: int, b: int) -> int:
-        if (a, b) in p.pairs:
-            return 1
-        if (b, a) in p.pairs:
-            return -1
-        return 0
-
-    return [
-        [(code(d.west, a, b), code(d.south, a, b)) for b in range(d.n)]
-        for a in range(d.n)
-    ]
-
-
-def _iter_morphisms(src: DoublePoset, dst: DoublePoset):
-    """Yield every order-preserving map as a tuple of target elements."""
-    ns, nd = src.n, dst.n
-    if ns == 0:
-        yield ()
-        return
-    scodes = _pair_codes(src)
-    dcodes = _pair_codes(dst)
-    image = [0] * ns
-
-    def dfs(k: int):
-        if k == ns:
-            yield tuple(image)
-            return
-        for cand in range(nd):
-            ok = True
-            for j in range(k):
-                sw, ss = scodes[j][k]
-                dw, ds = dcodes[image[j]][cand]
-                if (sw and dw != sw) or (ss and ds != ss):
-                    ok = False
-                    break
-            if ok:
-                image[k] = cand
-                yield from dfs(k + 1)
-
-    yield from dfs(0)
-
-
 @lru_cache(maxsize=100_000)
 def morphism_class_counts(src: DoublePoset, dst: DoublePoset) -> MorphismClassCounts:
     """All class counts in one enumeration pass."""
     if src.n > _ENUM_CAP or dst.n > _ENUM_CAP:
         raise TooLarge(f"enumeration cap is {_ENUM_CAP} elements")
-    scodes = _pair_codes(src)
-    dcodes = _pair_codes(dst)
     src_w = src.west.pairs
     src_s = src.south.pairs
     dst_wcov = dst.west.covers()
     dst_scov = dst.south.covers()
-    full = (1 << dst.n) - 1
     mor = mono = epi = regmono = regepi = iso = 0
     for image in _iter_morphisms(src, dst):
         mor += 1
-        used = 0
-        for b in image:
-            used |= 1 << b
-        injective = len(set(image)) == src.n
-        surjective = used == full
+        img = set(image)
+        injective = len(img) == src.n
+        surjective = len(img) == dst.n
         if injective:
             mono += 1
-            reflecting = all(
-                dcodes[image[a]][image[b]] == scodes[a][b]
-                for a in range(src.n) for b in range(a + 1, src.n)
-            )
-            if reflecting:
+            # An injective morphism maps src's relations onto distinct
+            # relations among its image; it reflects an order when the
+            # image carries no other relation of that order.
+            if all(sum(a in img and b in img for a, b in q.pairs) == len(p.pairs)
+                   for p, q in ((src.west, dst.west), (src.south, dst.south))):
                 regmono += 1
                 if surjective:
                     iso += 1
@@ -151,43 +105,10 @@ def enumerate_morphisms(src: DoublePoset, dst: DoublePoset, kind: str) -> int:
 
 @lru_cache(maxsize=200_000)
 def count_epis(src: DoublePoset, dst: DoublePoset) -> int:
-    """Surjective morphism count, with pruning on the remaining elements."""
-    ns, nd = src.n, dst.n
-    if ns > _ENUM_CAP or nd > _ENUM_CAP:
+    """Surjective morphism count, by the search with onto=True."""
+    if src.n > _ENUM_CAP or dst.n > _ENUM_CAP:
         raise TooLarge(f"enumeration cap is {_ENUM_CAP} elements")
-    if nd > ns:
-        return 0
-    if ns == 0:
-        return 1 if nd == 0 else 0
-    scodes = _pair_codes(src)
-    dcodes = _pair_codes(dst)
-    full = (1 << nd) - 1
-    count = 0
-    image = [0] * ns
-
-    def dfs(k: int, used: int, missing: int):
-        nonlocal count
-        if missing > ns - k:
-            return
-        if k == ns:
-            count += 1
-            return
-        for cand in range(nd):
-            ok = True
-            for j in range(k):
-                sw, ss = scodes[j][k]
-                dw, ds = dcodes[image[j]][cand]
-                if (sw and dw != sw) or (ss and ds != ss):
-                    ok = False
-                    break
-            if ok:
-                image[k] = cand
-                bit = 1 << cand
-                grew = not (used & bit)
-                dfs(k + 1, used | bit, missing - grew)
-
-    dfs(0, 0, nd)
-    return count
+    return sum(1 for _ in _iter_morphisms(src, dst, onto=True))
 
 
 def automorphism_count(d: DoublePoset) -> int:
@@ -250,8 +171,6 @@ def regepi_quotients(d: DoublePoset,
     class (a cover of the source may collapse to a non-cover); it is the
     class under which the twin property is preserved.
     """
-    from .core import transitive_closure
-
     out = []
     src_wcov = d.west.covers()
     src_scov = d.south.covers()
@@ -475,8 +394,6 @@ def check_factorization(d_a: DoublePoset, d_b: DoublePoset) -> FactorizationRepo
     """
     if d_a.n > _PHI_CAP or d_b.n > _PHI_CAP:
         raise TooLarge(f"factorization cap is {_PHI_CAP} elements")
-    from .core import transitive_closure
-
     induced_hist: dict = {}
     pushed_hist: dict = {}
     reps: dict = {}

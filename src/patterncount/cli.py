@@ -85,10 +85,13 @@ def parse_tree_spec(doc: dict):
         if kind == "arbo_ne":
             dp = _read_double_poset(doc)
             anchors = doc["anchors"]
+            if not isinstance(anchors, dict):
+                raise ParseFailure("field 'anchors' must be an object")
             two = anchors.get("two")
             return gen3214.validate_arbo(
-                dp, one=anchors["one"], three=anchors["three"],
-                four=anchors["four"], two=None if two is None else two)
+                dp, **{a: _read_int(anchors[a], f"anchors.{a}")
+                       for a in ("one", "three", "four")},
+                two=None if two is None else _read_int(two, "anchors.two"))
     except ParseFailure:
         raise
     except (KeyError, TypeError) as exc:
@@ -98,10 +101,15 @@ def parse_tree_spec(doc: dict):
     raise ParseFailure(f"unknown tree type {kind!r}")
 
 
+def _read_int(value, field: str) -> int:
+    """value if it is a JSON integer; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseFailure(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _read_double_poset(doc: dict) -> DoublePoset:
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParseFailure(f"field 'n' must be an integer, got {n!r}")
+    n = _read_int(doc["n"], "n")
     return double_poset(n, [tuple(p) for p in doc["west"]],
                         [tuple(p) for p in doc["south"]])
 

@@ -6,6 +6,10 @@ A double poset carries two strict posets on the same ground set, called
 ``west`` and ``south``: for permutations these are the position order and
 the value order, which is what makes pattern occurrences come out as maps
 preserving both orders.
+
+_iter_morphisms is the one search for such maps (double poset morphisms)
+behind the counting oracle, the epimorphism counts and the morphism
+classes; pattern_count_table, by subset enumeration, is its test oracle.
 """
 
 from __future__ import annotations
@@ -207,6 +211,86 @@ def double_poset(n: int, west: Iterable[tuple[int, int]],
     return DoublePoset(n, transitive_closure(west, n), transitive_closure(south, n))
 
 
+def _order_masks(dst: DoublePoset | Permutation,
+                 south: bool) -> tuple[list[int], list[int]]:
+    """Bitmasks of the elements above and below each element, in one order
+    of dst.  A Permutation is read from its values, not from perm_to_dp."""
+    n = dst.n
+    below = [0] * n
+    if isinstance(dst, Permutation):
+        seen = 0
+        for e in sorted(range(n), key=dst.values.__getitem__ if south else None):
+            below[e] = seen
+            seen |= 1 << e
+        return [seen ^ below[e] ^ 1 << e for e in range(n)], below
+    above = [0] * n
+    for a, b in (dst.south if south else dst.west).pairs:
+        above[a] |= 1 << b
+        below[b] |= 1 << a
+    return above, below
+
+
+def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
+                    onto: bool = False):
+    """Yield every morphism src -> dst as the tuple of images of src's elements.
+
+    src's elements are placed in a west linear extension, and each one's
+    candidates are the dst elements that every comparable element placed
+    before it allows: an AND of bitmasks.  With onto=True only surjective
+    maps are yielded: once the unplaced elements are just enough to cover
+    the dst elements not yet hit, they may only go to those.  A Permutation
+    dst stands for perm_to_dp(dst).
+    """
+    ns, nd = src.n, dst.n
+    if onto and nd > ns:
+        return
+    if ns == 0:
+        yield ()
+        return
+    # Fewer west predecessors first: a linear extension of the west order.
+    preds = [0] * ns
+    for _, b in src.west.pairs:
+        preds[b] += 1
+    order = sorted(range(ns), key=preds.__getitem__)
+    level = {e: k for k, e in enumerate(order)}
+    # needs[k]: (f, table) for each element f comparable to order[k] and
+    # placed before it; order[k]'s image must lie in table[image of f].
+    needs = [[] for _ in order]
+    for south, p in ((False, src.west), (True, src.south)):
+        if p.pairs:
+            above, below = _order_masks(dst, south)
+        for a, b in p.pairs:
+            if level[a] < level[b]:
+                needs[level[b]].append((a, above))
+            else:
+                needs[level[a]].append((b, below))
+    full = (1 << nd) - 1
+    last = ns - 1
+    image = [0] * ns
+    cands = [full] * ns
+    used = [0] * ns  # dst elements hit by the elements placed before level k
+    k = 0
+    while k >= 0:
+        m = cands[k]
+        if not m:
+            k -= 1
+            continue
+        low = m & -m
+        cands[k] = m ^ low
+        image[order[k]] = low.bit_length() - 1
+        if k == last:
+            yield tuple(image)
+            continue
+        k += 1
+        used[k] = used[k - 1] | low
+        m = full
+        for f, table in needs[k]:
+            m &= table[image[f]]
+        if onto and nd - used[k].bit_count() == ns - k:
+            m &= ~used[k]
+        cands[k] = m
+
+
 def std(window: Sequence[int]) -> Permutation:
     """Standardization: the unique permutation order-isomorphic to `window`.
 
@@ -224,16 +308,7 @@ def naive_pattern_count(big: Permutation, pattern: Permutation) -> int:
 
     Deliberately simple; the reference oracle for everything faster.
     """
-    k, n = pattern.n, big.n
-    if k > n:
-        return 0
-    target = pattern.values
-    count = 0
-    for positions in itertools.combinations(range(n), k):
-        window = [big.values[p] for p in positions]
-        if std(window).values == target:
-            count += 1
-    return count
+    return pattern_count_table(big, [pattern.n]).get(pattern, 0)
 
 
 def pattern_count_table(big: Permutation, sizes: Iterable[int]) -> dict[Permutation, int]:

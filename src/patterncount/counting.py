@@ -16,13 +16,16 @@ ones for E labels; it is the oracle.  StreamWestCounter is the online
 counter for trees whose labels are all W (NW/SW): points arrive in
 increasing position and each returns its root placements at once, which
 the block decomposition's reference passes in gen3214 use.
+
+naive_morphism_count, the oracle for any double poset, counts the maps
+that core._iter_morphisms, the package's one morphism search, yields.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import DoublePoset, Permutation, perm_to_dp
+from .core import DoublePoset, Permutation, _iter_morphisms
 from .indexstructs import SumTree
 from .trees import CornerTree
 
@@ -181,10 +184,9 @@ _MORPHISM_BUDGET = 10**9
 
 
 def naive_morphism_count(d: DoublePoset, pi: Permutation) -> int:
-    """Count double poset morphisms from d into the permutation, by DFS.
+    """Count double poset morphisms from d into the permutation.
 
-    The oracle for all the fast counting paths: assigns elements of d to
-    positions of pi one at a time, pruning on both orders.
+    The oracle for all the fast counting paths, by core._iter_morphisms.
     """
     n = pi.n
     if n ** d.n > _MORPHISM_BUDGET:
@@ -193,68 +195,8 @@ def naive_morphism_count(d: DoublePoset, pi: Permutation) -> int:
 
 
 def count_morphisms_into_perm(d: DoublePoset, pi: Permutation) -> int:
-    """DFS morphism count |Mor(d, perm_to_dp(pi))| without the budget check."""
-    n = pi.n
-    if d.n == 0:
-        return 1
-    vals = pi.zero_indexed()
-    order = _west_linear_extension(d)
-    # rel[j][k] describes how order[k] compares to order[j] in d, as a pair
-    # of -1/0/+1 codes for (west, south).
-    k_total = d.n
-
-    def code(p, a, b):
-        if (a, b) in p.pairs:
-            return 1
-        if (b, a) in p.pairs:
-            return -1
-        return 0
-
-    rel = [
-        [
-            (code(d.west, order[j], order[k]), code(d.south, order[j], order[k]))
-            for j in range(k)
-        ]
-        for k in range(k_total)
-    ]
-    assigned: list[int] = []
-
-    def dfs(k: int) -> int:
-        if k == k_total:
-            return 1
-        total = 0
-        constraints = rel[k]
-        for cand in range(n):
-            ok = True
-            cv = vals[cand]
-            for j in range(k):
-                w, s = constraints[j]
-                fj = assigned[j]
-                if w and ((fj < cand) != (w > 0) or fj == cand):
-                    ok = False
-                    break
-                if s and ((vals[fj] < cv) != (s > 0) or fj == cand):
-                    ok = False
-                    break
-            if ok:
-                assigned.append(cand)
-                total += dfs(k + 1)
-                assigned.pop()
-        return total
-
-    return dfs(0)
-
-
-def _west_linear_extension(d: DoublePoset) -> list[int]:
-    remaining = set(range(d.n))
-    out = []
-    while remaining:
-        for e in sorted(remaining):
-            if not any((f, e) in d.west.pairs for f in remaining if f != e):
-                out.append(e)
-                remaining.remove(e)
-                break
-    return out
+    """|Mor(d, perm_to_dp(pi))| by the morphism search, without the budget check."""
+    return sum(1 for _ in _iter_morphisms(d, pi))
 
 
 def corner_tree_to_dp(ct: CornerTree) -> DoublePoset:

@@ -134,6 +134,24 @@ def test_bad_ground_set_size(kind, n, write, capsys):
     assert err.count("error: ") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("anchors", [
+    {"one": False}, {"one": 0.0}, {"two": True}, {"three": "2"},
+    {"four": 3.0}, {"two": 1.5}, [0, 1, 2, 3]])
+def test_bad_anchor(anchors, write, capsys):
+    # bare 3214 has anchors 0, 1, 2, 3; each case spoils one of them.  A
+    # null `two` is valid (test_roundtrip_all_types).
+    doc = arbo_doc(bare_3214())
+    doc["anchors"] = dict(doc["anchors"], **anchors) \
+        if isinstance(anchors, dict) else anchors
+    tree_file = write("a.json", doc)
+    assert main(["validate", "--tree", tree_file]) == 2
+    assert main(["count", "--perm", write("p.txt", "2 1 3"),
+                 "--tree", tree_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
 def test_count_naive_on_plain_double_poset(write, capsys):
     perm_file = write("p.txt", "2 1 3")
     doc = {"type": "double_poset", "n": 2, "west": [[0, 1]], "south": []}
