@@ -246,9 +246,6 @@ class PatternVector:
     def sizes(self) -> set[int]:
         return {p.n for p in self._terms}
 
-    def restrict_size(self, k: int) -> "PatternVector":
-        return PatternVector({p: c for p, c in self._terms.items() if p.n == k})
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -311,9 +308,7 @@ def _chain_surjections(order: StrictPoset) -> dict[tuple, list[tuple[int, ...]]]
     every fibre in key order.
     """
     n = order.n
-    below = [0] * n
-    for a, b in order.pairs:
-        below[b] |= 1 << a
+    below = order.below
     full = (1 << n) - 1
     out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     levels: list[int] = []

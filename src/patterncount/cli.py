@@ -110,8 +110,12 @@ def _read_int(value, field: str) -> int:
 
 def _read_double_poset(doc: dict) -> DoublePoset:
     n = _read_int(doc["n"], "n")
-    return double_poset(n, [tuple(p) for p in doc["west"]],
-                        [tuple(p) for p in doc["south"]])
+    return double_poset(n, _read_pairs(doc, "west"), _read_pairs(doc, "south"))
+
+
+def _read_pairs(doc: dict, field: str) -> list[tuple[int, int]]:
+    return [(_read_int(a, f"{field}[{i}]"), _read_int(b, f"{field}[{i}]"))
+            for i, (a, b) in enumerate(doc[field])]
 
 
 def tree_spec_to_dict(value) -> dict:
@@ -404,6 +408,8 @@ def bench_once(algorithm: str, n: int, seed: int) -> float:
 
 def cmd_bench(args) -> int:
     sizes = args.n if args.n else _BENCH_LADDERS[args.algorithm]
+    if min(sizes) < 1:
+        raise ParseFailure(f"--n sizes must be at least 1, got {min(sizes)}")
     for n in sizes:
         ms = bench_once(args.algorithm, n, args.seed)
         print(f"{n},{args.algorithm},{ms:.1f}")

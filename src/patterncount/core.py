@@ -7,6 +7,9 @@ A double poset carries two strict posets on the same ground set, called
 the value order, which is what makes pattern occurrences come out as maps
 preserving both orders.
 
+Each StrictPoset also keeps its order as bitmasks, ``above[e]`` and
+``below[e]`` (the elements greater and less than e), which its readers use.
+
 _iter_morphisms is the one search for such maps (double poset morphisms)
 behind the counting oracle, the epimorphism counts and the morphism
 classes; pattern_count_table, by subset enumeration, is its test oracle.
@@ -88,7 +91,10 @@ def perm(values: Iterable[int]) -> Permutation:
 
 @dataclass(frozen=True)
 class StrictPoset:
-    """A strict partial order: asymmetric and transitive pairs on 0..n-1."""
+    """A strict partial order: asymmetric and transitive pairs on 0..n-1.
+
+    Bit b of the read-only mask above[a], and bit a of below[b], is set iff
+    a < b; the masks are not fields, so ==, hash and repr ignore them."""
 
     n: int
     pairs: frozenset[tuple[int, int]]
@@ -96,7 +102,8 @@ class StrictPoset:
     def __post_init__(self):
         if self.n < 0:
             raise InvalidInput(f"ground set size must be nonnegative, got {self.n}")
-        succ = [0] * self.n
+        above = [0] * self.n
+        below = [0] * self.n
         for a, b in self.pairs:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise InvalidInput(f"pair {(a, b)} out of range for n={self.n}")
@@ -104,22 +111,13 @@ class StrictPoset:
                 raise InvalidInput(f"reflexive pair {(a, b)}")
             if (b, a) in self.pairs:
                 raise InvalidInput(f"asymmetric violation on {(a, b)}")
-            succ[a] |= 1 << b
-        for a in range(self.n):
-            below = 0
-            m = succ[a]
-            while m:
-                low = m & -m
-                below |= succ[low.bit_length() - 1]
-                m ^= low
-            if below & ~succ[a]:
+            above[a] |= 1 << b
+            below[b] |= 1 << a
+        for a, b in self.pairs:
+            if above[b] & ~above[a]:
                 raise InvalidInput(f"not transitive at element {a}")
-
-    def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
-    def comparable(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs or (b, a) in self.pairs
+        object.__setattr__(self, "above", tuple(above))
+        object.__setattr__(self, "below", tuple(below))
 
     def is_total(self) -> bool:
         return 2 * len(self.pairs) == self.n * (self.n - 1)
@@ -175,11 +173,7 @@ def transitive_closure(rel: Iterable[tuple[int, int]], n: int) -> StrictPoset:
 
 def transitive_reduction(p: StrictPoset) -> frozenset[tuple[int, int]]:
     """The Hasse diagram: pairs (a, b) with nothing strictly between."""
-    out = set()
-    for a, b in p.pairs:
-        if not any((a, c) in p.pairs and (c, b) in p.pairs for c in range(p.n)):
-            out.add((a, b))
-    return frozenset(out)
+    return frozenset((a, b) for a, b in p.pairs if not p.above[a] & p.below[b])
 
 
 @dataclass(frozen=True)
@@ -212,22 +206,19 @@ def double_poset(n: int, west: Iterable[tuple[int, int]],
 
 
 def _order_masks(dst: DoublePoset | Permutation,
-                 south: bool) -> tuple[list[int], list[int]]:
+                 south: bool) -> tuple[Sequence[int], Sequence[int]]:
     """Bitmasks of the elements above and below each element, in one order
     of dst.  A Permutation is read from its values, not from perm_to_dp."""
-    n = dst.n
-    below = [0] * n
     if isinstance(dst, Permutation):
+        n = dst.n
+        below = [0] * n
         seen = 0
         for e in sorted(range(n), key=dst.values.__getitem__ if south else None):
             below[e] = seen
             seen |= 1 << e
         return [seen ^ below[e] ^ 1 << e for e in range(n)], below
-    above = [0] * n
-    for a, b in (dst.south if south else dst.west).pairs:
-        above[a] |= 1 << b
-        below[b] |= 1 << a
-    return above, below
+    order = dst.south if south else dst.west
+    return order.above, order.below
 
 
 def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
@@ -248,10 +239,7 @@ def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
         yield ()
         return
     # Fewer west predecessors first: a linear extension of the west order.
-    preds = [0] * ns
-    for _, b in src.west.pairs:
-        preds[b] += 1
-    order = sorted(range(ns), key=preds.__getitem__)
+    order = sorted(range(ns), key=lambda e: src.west.below[e].bit_count())
     level = {e: k for k, e in enumerate(order)}
     # needs[k]: (f, table) for each element f comparable to order[k] and
     # placed before it; order[k]'s image must lie in table[image of f].
@@ -339,19 +327,10 @@ def dp_to_perm(d: DoublePoset) -> Permutation:
     """Inverse of perm_to_dp; both orders must be total."""
     if not (d.west.is_total() and d.south.is_total()):
         raise NotAPermutationPoset("both orders must be total")
-    west_rank = _total_order_ranks(d.west)
-    south_rank = _total_order_ranks(d.south)
     values = [0] * d.n
-    for e in range(d.n):
-        values[west_rank[e]] = south_rank[e] + 1
+    for w, s in zip(d.west.below, d.south.below):
+        values[w.bit_count()] = s.bit_count() + 1
     return Permutation(tuple(values))
-
-
-def _total_order_ranks(p: StrictPoset) -> list[int]:
-    rank = [0] * p.n
-    for a, b in p.pairs:
-        rank[b] += 1
-    return rank
 
 
 def swap(d: DoublePoset) -> DoublePoset:

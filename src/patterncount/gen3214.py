@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,11 +96,11 @@ def validate_arbo(dp: DoublePoset, one: int, three: int, four: int,
             any(not 0 <= a < n for a in anchors):
         raise BadSpine(f"anchors {anchors} must be distinct elements of 0..{n - 1}")
 
-    for v in range(n):
-        if v == four:
-            continue
-        if (v, four) not in dp.west.pairs or (v, four) not in dp.south.pairs:
-            raise NoGlobalMax(f"element {v} is not below {four} in both orders")
+    others = ((1 << n) - 1) ^ (1 << four)
+    missing = others & ~(dp.west.below[four] & dp.south.below[four])
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        raise NoGlobalMax(f"element {v} is not below {four} in both orders")
 
     rest = [v for v in range(n) if v != four]
     t = dp.restrict(rest)
@@ -111,11 +110,11 @@ def validate_arbo(dp: DoublePoset, one: int, three: int, four: int,
 
     i1, i3 = idx[one], idx[three]
     i2 = idx[two] if two is not None else None
-    for v in range(t.n):
-        if v != i3 and (v, i3) not in t.west.pairs:
-            raise BadSpine(f"{three} is not the west maximum of the restriction")
-        if v != i1 and (v, i1) not in t.south.pairs:
-            raise BadSpine(f"{one} is not the south maximum of the restriction")
+    everything = (1 << t.n) - 1
+    if t.west.below[i3] != everything ^ (1 << i3):
+        raise BadSpine(f"{three} is not the west maximum of the restriction")
+    if t.south.below[i1] != everything ^ (1 << i1):
+        raise BadSpine(f"{one} is not the south maximum of the restriction")
 
     # In a tree the path from one to three is unique, so it is the spine
     # when the spine's consecutive elements are Hasse neighbours.
@@ -212,8 +211,7 @@ def morphism_bound(arbo: ArboNE, n: int) -> int:
     of v|) do that (the hook-length argument for forests).  For a chain the
     bound is n^k / k!, just above C(n, k).
     """
-    below = Counter(b for _, b in arbo.dp.west.pairs)
-    return n ** arbo.n // math.prod(below[v] + 1 for v in range(arbo.n))
+    return n ** arbo.n // math.prod(b.bit_count() + 1 for b in arbo.dp.west.below)
 
 
 # ------------------------------------------------------- types A and B

@@ -24,7 +24,6 @@ from .core import (
     canonical_form,
     classify,
     double_poset,
-    transitive_reduction,
 )
 
 CORNER_LABELS = ("NE", "NW", "SE", "SW")
@@ -187,18 +186,13 @@ def snpolytree_to_ct(t: SNPolytree, v) -> CornerTree:
     return CornerTree(v, tuple(edges))
 
 
-def snpolytree_node_order(t: SNPolytree) -> dict:
-    """Deterministic node -> dense index map used by snpolytree_to_dp."""
-    return {node: i for i, node in enumerate(t.nodes)}
-
-
 def snpolytree_to_dp(t: SNPolytree) -> DoublePoset:
     """Close the edge relations into a twin tree double poset.
 
     Per edge the head is west of the tail; the south relation follows the
     label: S puts the head below the tail, N above.
     """
-    idx = snpolytree_node_order(t)
+    idx = {node: i for i, node in enumerate(t.nodes)}
     west = []
     south = []
     for tail, head, label in t.edges:
@@ -214,15 +208,11 @@ def dp_to_snpolytree(d: DoublePoset) -> SNPolytree:
     """Inverse of snpolytree_to_dp, defined on twin tree double posets."""
     if not classify(d).is_twin_tree:
         raise NotTwinTree("double poset is not a twin tree")
-    west_covers = transitive_reduction(d.west)
-    south_covers = d.south.covers()
-    edges = []
-    for a, b in west_covers:  # a <_West b: the arrow targets a
-        if (a, b) in south_covers:
-            edges.append((b, a, "S"))
-        else:  # twin: the same undirected edge must appear southwards
-            edges.append((b, a, "N"))
-    return SNPolytree(tuple(range(d.n)), tuple(edges))
+    # Each west cover a <_West b is also a south cover, one way or the
+    # other (twin); the arrow targets a, labelled by where a sits southwards.
+    edges = tuple((b, a, "S" if d.south.above[a] >> b & 1 else "N")
+                  for a, b in d.west.covers())
+    return SNPolytree(tuple(range(d.n)), edges)
 
 
 # The most elements that the brute-force enumerations here and in algebra take.

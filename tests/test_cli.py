@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import patterncount
 
 from patterncount.cli import main, parse_tree_spec, tree_spec_to_dict
 from patterncount.core import double_poset, perm, perm_to_dp
@@ -152,6 +158,23 @@ def test_bad_anchor(anchors, write, capsys):
     assert err.count("error: ") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("pair", [[False, True], [0, True], [0.0, 1], [0, "1"]])
+@pytest.mark.parametrize("kind", ["double_poset", "arbo_ne"])
+def test_bad_relation_pair(kind, pair, write, capsys):
+    # bare 3214's first west pair is [0, 1]; each case spells it with a
+    # non-integer, which must not be read as the pair (0, 1).
+    doc = dict(arbo_doc(bare_3214()), type=kind)
+    assert doc["west"][0] == [0, 1]
+    doc["west"] = [pair] + doc["west"][1:]
+    tree_file = write("d.json", doc)
+    assert main(["validate", "--tree", tree_file]) == 2
+    assert main(["count", "--perm", write("p.txt", "2 1 3"),
+                 "--tree", tree_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
 def test_count_naive_on_plain_double_poset(write, capsys):
     perm_file = write("p.txt", "2 1 3")
     doc = {"type": "double_poset", "n": 2, "west": [[0, 1]], "south": []}
@@ -242,6 +265,23 @@ def test_selftest_deterministic(write, capsys):
     assert first.count(": pass") == 6
 
 
+def test_selftest_failure_exits_one(monkeypatch, capsys):
+    from patterncount import counting
+
+    real = counting.count_corner_tree
+    monkeypatch.setattr(counting, "count_corner_tree",
+                        lambda pi, ct: real(pi, ct) + 1)
+    assert main(["selftest"]) == 1
+    assert "corner-tree-vs-morphisms: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sizes", [["-5", "0"], ["3", "0"]])
+def test_bench_size_below_one(sizes, capsys):
+    assert main(["bench", "--algorithm", "general", "--n", *sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_bench_smoke(capsys):
     assert main(["bench", "--algorithm", "stream", "--n", "2000"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")
@@ -264,3 +304,12 @@ def test_roundtrip_all_types():
     for value in samples:
         doc = json.loads(json.dumps(tree_spec_to_dict(value)))
         assert parse_tree_spec(doc) == value
+
+
+def test_import_does_not_load_numpy():
+    code = ("import sys, patterncount, patterncount.cli; "
+            "print('numpy' in sys.modules)")
+    src = str(Path(patterncount.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

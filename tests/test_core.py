@@ -241,16 +241,27 @@ def test_reduction_inside_generators():
 
 
 def test_closure_of_reduction_is_identity_exhaustive():
-    # All strict posets on up to 4 elements.
-    for n in range(1, 5):
+    # Every relation on up to 4 elements: StrictPoset accepts exactly the
+    # labeled posets (OEIS A001035), its masks spell out the pairs, and
+    # covers() agrees with the definition by a triple loop.
+    for n, labeled_posets in zip(range(1, 5), (1, 3, 19, 219)):
         pairs_universe = [(a, b) for a in range(n) for b in range(n) if a != b]
+        accepted = 0
         for bits in range(1 << len(pairs_universe)):
             rel = frozenset(p for i, p in enumerate(pairs_universe) if bits >> i & 1)
             try:
                 p = StrictPoset(n, rel)
             except InvalidInput:
                 continue
+            accepted += 1
+            for a in range(n):
+                assert p.above[a] == sum(1 << b for b in range(n) if (a, b) in rel)
+                assert p.below[a] == sum(1 << b for b in range(n) if (b, a) in rel)
+            assert p.covers() == {
+                (a, b) for a, b in rel
+                if not any((a, c) in rel and (c, b) in rel for c in range(n))}
             assert transitive_closure(transitive_reduction(p), n) == p
+        assert accepted == labeled_posets
 
 
 # ---------------------------------------------------------- classify
