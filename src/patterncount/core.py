@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 
 class InvalidInput(ValueError):
@@ -63,6 +63,8 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         """Value at 1-indexed position i."""
+        if not 1 <= i <= len(self.values):
+            raise IndexError(f"position {i} outside 1..{len(self.values)}")
         return self.values[i - 1]
 
     def inverse(self) -> "Permutation":
@@ -189,8 +191,13 @@ class DoublePoset:
             raise InvalidInput("order sizes disagree with ground set size")
 
     def restrict(self, keep: Sequence[int]) -> "DoublePoset":
-        """Induced double poset on `keep`, relabeled to 0..len(keep)-1."""
+        """Induced double poset on `keep`, relabeled to 0..len(keep)-1.
+
+        `keep` must list distinct elements of 0..n-1."""
         idx = {e: i for i, e in enumerate(keep)}
+        if len(idx) != len(keep) or not all(0 <= e < self.n for e in idx):
+            raise InvalidInput(f"restriction to {list(keep)!r} needs distinct "
+                               f"elements of 0..{self.n - 1}")
         w = frozenset((idx[a], idx[b]) for a, b in self.west.pairs
                       if a in idx and b in idx)
         s = frozenset((idx[a], idx[b]) for a, b in self.south.pairs
@@ -360,10 +367,8 @@ def classify(d: DoublePoset) -> Classification:
     """
     hw = d.west.covers()
     hs = d.south.covers()
-    uw = frozenset(frozenset(e) for e in hw)
-    us = frozenset(frozenset(e) for e in hs)
-    is_twin = uw == us
-    is_tree = _is_tree(uw, d.n) and _is_tree(us, d.n)
+    is_twin = {frozenset(e) for e in hw} == {frozenset(e) for e in hs}
+    is_tree = _is_tree(range(d.n), hw) and _is_tree(range(d.n), hs)
     return Classification(
         is_twin=is_twin,
         is_tree=is_tree,
@@ -372,23 +377,23 @@ def classify(d: DoublePoset) -> Classification:
     )
 
 
-def _is_tree(undirected_edges: frozenset[frozenset[int]], n: int) -> bool:
-    if len(undirected_edges) != n - 1:
+def _is_tree(nodes: Sequence, pairs: Collection[tuple]) -> bool:
+    """Whether the undirected graph on `nodes` with the edges `pairs` is a
+    tree: n - 1 edges, connected.  Loops and parallel edges fail too."""
+    if len(pairs) != len(nodes) - 1:
         return False
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for e in undirected_edges:
-        a, b = tuple(e)
+    adj = {v: [] for v in nodes}
+    for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
-    seen = {0} if n else set()
-    stack = [0] if n else []
+    seen = {nodes[0]}
+    stack = [nodes[0]]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
 
 
 def relabel(d: DoublePoset, image: Sequence[int]) -> DoublePoset:

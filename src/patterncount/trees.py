@@ -11,17 +11,22 @@ Polytree edges are stored as (tail, head, label) with head = the arrow's
 target, i.e. the west element of the pair.  Getting this direction wrong
 is the classic bug here, so the conversions below are all derived from the
 double-poset semantics and pinned by round-trip tests.
+
+enumerate_snpolytrees lists the classes on k nodes by leaf growth from
+the classes on k - 1 nodes, deduplicated by a labelled AHU code of the
+tree (_tree_certificate) rather than by the brute-force canonical_form of
+core, which stays the oracle and serves general double posets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     DoublePoset,
-    canonical_form,
+    _is_tree,
+    # Unused here; perfbench's tracer wraps trees.canonical_form.
+    canonical_form,  # noqa: F401
     classify,
     double_poset,
 )
@@ -104,36 +109,13 @@ class SNPolytree:
         nodeset = set(self.nodes)
         if len(nodeset) != len(self.nodes):
             raise MalformedTree("repeated node")
-        degree = 0
-        seen_pairs = set()
         for tail, head, label in self.edges:
             if label not in SN_LABELS:
                 raise MalformedTree(f"bad SN label {label!r}")
             if tail not in nodeset or head not in nodeset:
                 raise MalformedTree(f"edge {tail!r}->{head!r} uses unknown node")
-            key = frozenset((tail, head))
-            if len(key) == 1 or key in seen_pairs:
-                raise MalformedTree("loop or parallel edge")
-            seen_pairs.add(key)
-            degree += 1
-        if degree != len(self.nodes) - 1 or not self._connected():
+        if not _is_tree(self.nodes, [(tail, head) for tail, head, _ in self.edges]):
             raise MalformedTree("underlying undirected graph is not a tree")
-
-    def _connected(self) -> bool:
-        if not self.nodes:
-            return False
-        adj = {v: [] for v in self.nodes}
-        for tail, head, _ in self.edges:
-            adj[tail].append(head)
-            adj[head].append(tail)
-        stack = [self.nodes[0]]
-        seen = {self.nodes[0]}
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.nodes)
 
     def size(self) -> int:
         return len(self.nodes)
@@ -215,58 +197,50 @@ def dp_to_snpolytree(d: DoublePoset) -> SNPolytree:
     return SNPolytree(tuple(range(d.n)), edges)
 
 
-# The most elements that the brute-force enumerations here and in algebra take.
+# The most elements that the enumerations here and in algebra take.
 _ENUM_CAP = 6
 
 
 def enumerate_snpolytrees(k: int) -> list[SNPolytree]:
     """One representative per isomorphism class of SN polytrees on k nodes.
 
-    Enumerates free tree shapes, decorates every edge with the four
-    direction/label choices, and deduplicates through the canonical form
-    of the associated double poset.
+    Grows the classes one leaf at a time: every class on j + 1 nodes comes
+    from one on j nodes by hanging node j at some node, since every tree
+    has a leaf whose removal leaves a tree.  One candidate is kept per
+    labelled tree certificate; no canonical_form is computed.
     """
     if k > _ENUM_CAP:
         raise TooLarge(f"k={k} exceeds enumeration cap {_ENUM_CAP}")
     if k <= 0:
         return []
-    out = []
-    seen = set()
-    for shape in _free_tree_shapes(k):
-        m = len(shape)
-        for direction_bits in range(1 << m):
-            for label_bits in range(1 << m):
-                edges = []
-                for i, (a, b) in enumerate(shape):
-                    tail, head = (a, b) if direction_bits >> i & 1 else (b, a)
-                    edges.append((tail, head, "S" if label_bits >> i & 1 else "N"))
-                t = SNPolytree(tuple(range(k)), tuple(edges))
-                key = canonical_form(snpolytree_to_dp(t))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(t)
-    return out
+    reps: list[tuple] = [()]  # edge tuples of the classes on j nodes
+    for j in range(1, k):
+        grown = {}
+        for edges in reps:
+            for cand in _leaf_growths(edges, j):
+                grown.setdefault(_tree_certificate(cand, j + 1), cand)
+        reps = list(grown.values())
+    return [SNPolytree(tuple(range(k)), edges) for edges in reps]
 
 
-@lru_cache(maxsize=None)
-def _free_tree_shapes(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Edge lists of the free (unlabeled) trees on k nodes, one per shape."""
-    shapes = {}
-    # Parent arrays with parent[c] < c are exactly the trees on 0..k-1 in
-    # which every path from 0 increases, and every free tree has such a
-    # labelling (number it breadth-first); dedup by unlabeled certificate.
-    for parents in itertools.product(*(range(c) for c in range(1, k))):
-        edges = tuple((parents[child - 1], child) for child in range(1, k))
-        shapes.setdefault(_tree_certificate(edges, k), edges)
-    return tuple(shapes.values())
+def _leaf_growths(edges, j):
+    """The trees that hang new node j at a node of `edges` (nodes 0..j-1):
+    (v, j) or (j, v), labelled S or N, for every node v."""
+    for v in range(j):
+        for tail, head in ((v, j), (j, v)):
+            for label in SN_LABELS:
+                yield edges + ((tail, head, label),)
 
 
 def _tree_certificate(edges, k) -> str:
-    """AHU canonical string of an unlabeled free tree, rooted at its center."""
-    adj = {i: set() for i in range(k)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    """AHU canonical string of an SN polytree on nodes 0..k-1, rooted at its
+    center; edges are (tail, head, label).  Two trees get the same string
+    iff they are isomorphic as SN polytrees."""
+    adj = {i: [] for i in range(k)}
+    for tail, head, label in edges:
+        # Each edge as seen from either end: arrow out of it or into it.
+        adj[tail].append((head, ">" + label))
+        adj[head].append((tail, "<" + label))
     # Peel leaves to find the 1- or 2-element center.
     degrees = {v: len(ws) for v, ws in adj.items()}
     layer = [v for v in adj if degrees[v] <= 1]
@@ -277,7 +251,7 @@ def _tree_certificate(edges, k) -> str:
         for v in layer:
             removed.add(v)
             remaining -= 1
-            for w in adj[v]:
+            for w, _ in adj[v]:
                 if w not in removed:
                     degrees[w] -= 1
                     if degrees[w] == 1:
@@ -286,10 +260,12 @@ def _tree_certificate(edges, k) -> str:
     center = [v for v in adj if v not in removed]
 
     def encode(v, parent) -> str:
-        subs = sorted(encode(w, v) for w in adj[v] if w != parent)
+        subs = sorted(kind + encode(w, v) for w, kind in adj[v] if w != parent)
         return "(" + "".join(subs) + ")"
 
     if len(center) == 1:
         return encode(center[0], None)
-    c1, c2 = center
-    return "|".join(sorted((encode(c1, c2), encode(c2, c1))))
+    # Two centers: read the tree from either end of the central edge.
+    return min(encode(a, b) + kind + encode(b, a)
+               for a, b in (center, center[::-1])
+               for w, kind in adj[a] if w == b)

@@ -76,6 +76,14 @@ def test_permutation_rejects_non_bijection():
         Permutation((1, 3, 3))
 
 
+def test_permutation_call_outside_positions():
+    p = perm([2, 3, 1])
+    assert [p(i) for i in (1, 2, 3)] == [2, 3, 1]
+    for i in (0, -1, 4):
+        with pytest.raises(IndexError):
+            p(i)
+
+
 # ------------------------------------------------- naive_pattern_count
 
 def test_count_12_in_34251():
@@ -304,6 +312,13 @@ def test_classify_four_element_twin_tree():
     assert classify(d) == Classification(True, True, True, False)
 
 
+def test_classify_cycle_with_isolated_element_is_not_tree():
+    # A diamond plus an isolated element: n - 1 Hasse edges, not connected.
+    diamond = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    c = classify(double_poset(5, diamond, diamond))
+    assert c.is_twin and not c.is_tree and not c.is_twin_tree
+
+
 # ------------------------------------------------------ canonical form
 
 def test_canonical_form_orbit_invariance():
@@ -338,3 +353,15 @@ def test_restrict():
     r = d.restrict([0, 2])
     assert r.west.pairs == frozenset({(0, 1)})
     assert r.south.pairs == frozenset({(1, 0)})
+
+
+def test_restrict_rejects_repeated_element():
+    with pytest.raises(InvalidInput):
+        perm_to_dp(perm([2, 1])).restrict([0, 0])
+
+
+def test_restrict_rejects_out_of_range_element():
+    with pytest.raises(InvalidInput):
+        perm_to_dp(perm([2, 1])).restrict([5])
+    with pytest.raises(InvalidInput):
+        perm_to_dp(perm([2, 1])).restrict([-1])

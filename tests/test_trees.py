@@ -22,7 +22,8 @@ from patterncount.trees import (
     snpolytree_to_ct,
     snpolytree_to_dp,
 )
-from patterncount.trees import _free_tree_shapes
+from patterncount import core, trees
+from patterncount.trees import _leaf_growths, _tree_certificate
 
 
 def random_corner_tree(rng, max_nodes=6) -> CornerTree:
@@ -183,15 +184,45 @@ def test_enumerate_sizes_1_and_2():
     assert len(enumerate_snpolytrees(2)) == 2
 
 
-def test_free_tree_shapes_and_polytree_counts():
-    # Free trees on k nodes (OEIS A000055) and SN polytree classes.
-    assert [len(_free_tree_shapes(k)) for k in range(1, 7)] == [1, 1, 1, 2, 3, 6]
-    assert [len(enumerate_snpolytrees(k)) for k in range(1, 6)] == \
-        [1, 2, 10, 52, 331]
+def test_polytree_class_counts():
+    assert [len(enumerate_snpolytrees(k)) for k in range(1, 7)] == \
+        [1, 2, 10, 52, 331, 2272]
+
+
+def _check_certificate_matches_canonical_form(k):
+    # Every leaf-grown candidate on k nodes: equal certificates iff
+    # isomorphic double posets.
+    pairs = set()
+    for t in enumerate_snpolytrees(k - 1):
+        for edges in _leaf_growths(t.edges, k - 1):
+            d = snpolytree_to_dp(SNPolytree(tuple(range(k)), edges))
+            pairs.add((_tree_certificate(edges, k), canonical_form(d)))
+    certs = {c for c, _ in pairs}
+    forms = {f for _, f in pairs}
+    assert len(certs) == len(forms) == len(pairs)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_certificate_matches_canonical_form(k):
+    _check_certificate_matches_canonical_form(k)
+
+
+@pytest.mark.slow
+def test_certificate_matches_canonical_form_six_nodes():
+    _check_certificate_matches_canonical_form(6)
+
+
+def test_enumeration_computes_no_canonical_form(monkeypatch):
+    def refuse(d):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(trees, "canonical_form", refuse)
+    monkeypatch.setattr(core, "canonical_form", refuse)
+    assert len(enumerate_snpolytrees(5)) == 331
 
 
 def test_enumerate_all_twin_trees_and_distinct():
-    for k in range(1, 5):
+    for k in range(1, 6):
         ts = enumerate_snpolytrees(k)
         keys = [canonical_form(snpolytree_to_dp(t)) for t in ts]
         assert len(set(keys)) == len(keys)
@@ -218,3 +249,14 @@ def test_malformed_trees_rejected():
         SNPolytree((0, 1, 2), ((0, 1, "S"),))  # disconnected
     with pytest.raises(MalformedTree):
         SNPolytree((0, 1), ((0, 1, "S"), (1, 0, "N")))  # parallel edge
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1, "S"), (1, 0, "N"), (2, 3, "S")),  # parallel edge
+    ((0, 1, "S"), (1, 2, "S"), (2, 0, "N")),  # cycle
+    ((0, 0, "S"), (1, 2, "N"), (2, 3, "S")),  # loop
+], ids=["parallel", "cycle", "loop"])
+def test_tree_edge_count_without_tree_rejected(edges):
+    # n - 1 edges, so only the connectivity check can reject them.
+    with pytest.raises(MalformedTree):
+        SNPolytree((0, 1, 2, 3), edges)
