@@ -130,19 +130,17 @@ class _SplitSchedule:
     """
 
     def __init__(self, keys: np.ndarray):
+        """keys must be a permutation of 0..t-1."""
         t = len(keys)
         size = 1
         while size < max(t, 1):
             size *= 2
-        pad = size - t
-        keys = np.asarray(keys, dtype=np.int32)
-        if pad:
-            top = int(keys.max()) + 1 if t else 0
-            keys = np.concatenate([keys, top + np.arange(pad, dtype=np.int32)])
         self.t = t
         self.size = size
         run = _run_length(size)
-        self._order0 = np.argsort(keys, kind="stable").astype(np.int32)
+        # The key order, padded with the keys t..size-1 in their own slots.
+        self._order0 = np.arange(size, dtype=np.int32)
+        self._order0[keys] = np.arange(t, dtype=np.int32)
         ones = np.zeros(size, dtype=np.int64)
         order = self._order0
         self._levels = []

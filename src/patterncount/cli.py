@@ -14,6 +14,10 @@ Permutations are ASCII integers separated by whitespace, one-line notation,
   {"type": "arbo_ne", "n": k, "west": ..., "south": ...,
    "anchors": {"one": i, "two": j-or-null, "three": k, "four": l}}
 
+The anchors of an arbo_ne document must be the ones its double poset
+determines.  count decides its algorithm from the double poset of any
+document: family members count by block, whatever their type field says.
+
 Exit codes: 0 success, 1 self-test failure, 2 parse/validation failure,
 3 inapplicable algorithm or size cap.
 """
@@ -83,15 +87,19 @@ def parse_tree_spec(doc: dict):
         if kind == "double_poset":
             return _read_double_poset(doc)
         if kind == "arbo_ne":
-            dp = _read_double_poset(doc)
+            arbo = gen3214.validate_arbo(_read_double_poset(doc))
             anchors = doc["anchors"]
             if not isinstance(anchors, dict):
                 raise ParseFailure("field 'anchors' must be an object")
+            claimed = {a: _read_int(anchors[a], f"anchors.{a}")
+                       for a in ("one", "three", "four")}
             two = anchors.get("two")
-            return gen3214.validate_arbo(
-                dp, **{a: _read_int(anchors[a], f"anchors.{a}")
-                       for a in ("one", "three", "four")},
-                two=None if two is None else _read_int(two, "anchors.two"))
+            claimed["two"] = None if two is None else _read_int(two, "anchors.two")
+            derived = {a: getattr(arbo, a) for a in claimed}
+            if claimed != derived:
+                raise ParseFailure(f"anchors {claimed} disagree with {derived}, "
+                                   "read off the double poset")
+            return arbo
     except ParseFailure:
         raise
     except (KeyError, TypeError) as exc:
@@ -146,39 +154,12 @@ def read_tree_file(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseFailure(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseFailure(f"{path}: not a UTF-8 JSON document: {exc}") from exc
     return parse_tree_spec(doc)
 
 
 # ------------------------------------------------------------ commands
-
-def _as_corner_tree(value):
-    if isinstance(value, trees.CornerTree):
-        return value
-    if isinstance(value, trees.SNPolytree):
-        return trees.snpolytree_to_ct(value, value.nodes[0])
-    if isinstance(value, DoublePoset) and classify(value).is_twin_tree:
-        t = trees.dp_to_snpolytree(value)
-        return trees.snpolytree_to_ct(t, t.nodes[0])
-    raise Inapplicable("the general algorithm needs a corner tree or a "
-                       "twin tree double poset")
-
-
-def _as_west_tree(value):
-    if isinstance(value, trees.CornerTree):
-        if value.labels() <= {"NW", "SW"}:
-            return value
-        value = trees.ct_to_snpolytree(value)
-    if isinstance(value, DoublePoset) and classify(value).is_twin_tree:
-        value = trees.dp_to_snpolytree(value)
-    if isinstance(value, trees.SNPolytree):
-        for v in value.nodes:
-            ct = trees.snpolytree_to_ct(value, v)
-            if ct.labels() <= {"NW", "SW"}:
-                return ct
-    raise Inapplicable("no rooting of this tree uses only west labels")
-
 
 def _as_double_poset(value) -> DoublePoset:
     if isinstance(value, DoublePoset):
@@ -192,18 +173,39 @@ def _as_double_poset(value) -> DoublePoset:
     raise Inapplicable(f"cannot interpret {type(value).__name__} as a double poset")
 
 
-def _resolve_algorithm(value, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if isinstance(value, gen3214.ArboNE):
-        return "block"
-    if isinstance(value, (trees.CornerTree, trees.SNPolytree)):
-        return "general"
-    if isinstance(value, DoublePoset) and classify(value).is_twin_tree:
-        return "general"
-    log.warning("falling back to naive morphism counting for a general "
-                "double poset")
-    return "naive"
+def _resolve(value, requested: str):
+    """The algorithm that counts value under --algorithm requested, and its
+    operand, both decided from value's double poset.
+
+    A family member goes to block, a twin tree to general or stream (the
+    tree rooted at its west maximum, the only all-west rooting), anything
+    else to naive; auto picks the first that applies.
+    """
+    d = _as_double_poset(value)
+    try:
+        arbo = gen3214.validate_arbo(d)
+    except gen3214.ArboValidationError:
+        arbo = None
+    twin_tree = classify(d).is_twin_tree
+    if requested == "auto":
+        requested = "block" if arbo else "general" if twin_tree else "naive"
+        if requested == "naive":
+            log.warning("falling back to naive morphism counting for a "
+                        "general double poset")
+    if requested == "naive":
+        return requested, d
+    if requested == "block":
+        if arbo is None:
+            raise Inapplicable("the block algorithm needs a family member")
+        return requested, arbo
+    if not twin_tree:
+        raise Inapplicable(f"the {requested} algorithm needs a twin tree")
+    root = next((v for v in range(d.n)
+                 if d.west.below[v].bit_count() == d.n - 1), 0)
+    ct = trees.snpolytree_to_ct(trees.dp_to_snpolytree(d), root)
+    if requested == "stream" and not ct.labels() <= {"NW", "SW"}:
+        raise Inapplicable("no rooting of this tree uses only west labels")
+    return requested, ct
 
 
 def cmd_count(args) -> int:
@@ -211,22 +213,19 @@ def cmd_count(args) -> int:
         raise ParseFailure(
             f"--block-size must be at least 1, got {args.block_size}")
     pi = read_permutation(args.perm)
-    value = read_tree_file(args.tree)
-    algorithm = _resolve_algorithm(value, args.algorithm)
+    algorithm, operand = _resolve(read_tree_file(args.tree), args.algorithm)
     report = {}
     t0 = time.perf_counter()
     if algorithm == "block":
-        if not isinstance(value, gen3214.ArboNE):
-            raise Inapplicable("the block algorithm needs an arbo_ne file")
         m = args.block_size or gen3214.default_block_size(pi.n)
         report["block_size"] = m
-        count = gen3214.count_gen_3214(pi, value, m)
+        count = gen3214.count_gen_3214(pi, operand, m)
     elif algorithm == "general":
-        count = counting.count_corner_tree(pi, _as_corner_tree(value))
+        count = counting.count_corner_tree(pi, operand)
     elif algorithm == "stream":
-        count = counting.count_all_west(pi, _as_west_tree(value))
+        count = counting.count_all_west(pi, operand)
     else:  # naive
-        count = counting.naive_morphism_count(_as_double_poset(value), pi)
+        count = counting.naive_morphism_count(operand, pi)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
         print(json.dumps({"count": count, "algorithm": algorithm, "n": pi.n,
@@ -262,12 +261,11 @@ def cmd_rank(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    value = read_tree_file(args.tree)
-    if isinstance(value, gen3214.ArboNE):
-        d = value.dp
+    d = _as_double_poset(read_tree_file(args.tree))
+    try:
+        gen3214.validate_arbo(d)
         arbo_state = "valid"
-    else:
-        d = _as_double_poset(value)
+    except gen3214.ArboValidationError:
         arbo_state = None
     flags = classify(d)
     print(f"elements: {d.n}")

@@ -155,15 +155,17 @@ def transitive_closure(rel: Iterable[tuple[int, int]], n: int) -> StrictPoset:
         if not (0 <= a < n and 0 <= b < n):
             raise InvalidInput(f"pair {(a, b)} out of range for n={n}")
         reach[a] |= 1 << b
-    # Bitmask Floyd-Warshall: reach[a] accumulates everything below a.
-    for k in range(n):
+    # Bitmask Floyd-Warshall: reach[a] accumulates everything below a.  An
+    # element that reaches nothing at first never does, so the loops skip it.
+    sources = [a for a in range(n) if reach[a]]
+    for k in sources:
         kbit = 1 << k
-        for a in range(n):
+        for a in sources:
             if reach[a] & kbit:
                 reach[a] |= reach[k]
     pairs = set()
-    for a in range(n):
-        if reach[a] & (1 << a):
+    for a in sources:
+        if reach[a] >> a & 1:
             raise NotAcyclic(f"cycle through element {a}")
         m = reach[a]
         while m:
@@ -212,20 +214,20 @@ def double_poset(n: int, west: Iterable[tuple[int, int]],
     return DoublePoset(n, transitive_closure(west, n), transitive_closure(south, n))
 
 
-def _order_masks(dst: DoublePoset | Permutation,
-                 south: bool) -> tuple[Sequence[int], Sequence[int]]:
-    """Bitmasks of the elements above and below each element, in one order
+def _order_masks(dst: DoublePoset | Permutation, south: bool,
+                 above: bool) -> Sequence[int]:
+    """Bitmasks of the elements above (or below) each element, in one order
     of dst.  A Permutation is read from its values, not from perm_to_dp."""
     if isinstance(dst, Permutation):
-        n = dst.n
-        below = [0] * n
+        masks = [0] * dst.n
         seen = 0
-        for e in sorted(range(n), key=dst.values.__getitem__ if south else None):
-            below[e] = seen
+        order = sorted(range(dst.n), key=dst.values.__getitem__ if south else None)
+        for e in reversed(order) if above else order:
+            masks[e] = seen
             seen |= 1 << e
-        return [seen ^ below[e] ^ 1 << e for e in range(n)], below
+        return masks
     order = dst.south if south else dst.west
-    return order.above, order.below
+    return order.above if above else order.below
 
 
 def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
@@ -250,15 +252,17 @@ def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
     level = {e: k for k, e in enumerate(order)}
     # needs[k]: (f, table) for each element f comparable to order[k] and
     # placed before it; order[k]'s image must lie in table[image of f].
+    # Only the mask directions read here are built: the west order only
+    # needs `above`, since a west pair's smaller element is placed first.
     needs = [[] for _ in order]
+    tables = {}
     for south, p in ((False, src.west), (True, src.south)):
-        if p.pairs:
-            above, below = _order_masks(dst, south)
         for a, b in p.pairs:
-            if level[a] < level[b]:
-                needs[level[b]].append((a, above))
-            else:
-                needs[level[a]].append((b, below))
+            up = level[a] < level[b]
+            if (south, up) not in tables:
+                tables[south, up] = _order_masks(dst, south, up)
+            placed, e = (a, b) if up else (b, a)
+            needs[level[e]].append((placed, tables[south, up]))
     full = (1 << nd) - 1
     last = ns - 1
     image = [0] * ns

@@ -5,7 +5,9 @@ one < two < three (west) with three < two < one (south), a global maximum
 `four` above everything in both orders, and any number of subtrees
 dangling strictly south-west from spine vertices.  Removing `four` leaves
 a twin tree double poset T whose west-maximal vertex is `three` and whose
-south-maximal vertex is `one`.
+south-maximal vertex is `one`.  Membership is a property of the double
+poset alone: validate_arbo recognizes a member and reads its anchors one,
+two, three and four off the two orders.
 
 Morphisms into a permutation are counted by splitting them, relative to a
 grid of position and value blocks of width m, into three disjoint types:
@@ -87,48 +89,48 @@ class ArboDecomposition:
     dangle2_tree: CornerTree | None
 
 
-def validate_arbo(dp: DoublePoset, one: int, three: int, four: int,
-                  two: int | None = None) -> ArboNE:
-    """Check every family invariant; raises a named violation on failure."""
+def validate_arbo(dp: DoublePoset) -> ArboNE:
+    """The family member dp, with its anchors read off the two orders.
+
+    `four` is the element above all others in both orders; `three` and
+    `one` are the west and south maxima of the rest, and `two` is the
+    element between them when the spine has two Hasse edges.  Raises
+    NoGlobalMax, RestrictionNotTwinTree or BadSpine when dp is no member.
+    """
     n = dp.n
-    anchors = [one, three, four] + ([two] if two is not None else [])
-    if len(set(anchors)) != len(anchors) or \
-            any(not 0 <= a < n for a in anchors):
-        raise BadSpine(f"anchors {anchors} must be distinct elements of 0..{n - 1}")
-
-    others = ((1 << n) - 1) ^ (1 << four)
-    missing = others & ~(dp.west.below[four] & dp.south.below[four])
-    if missing:
-        v = (missing & -missing).bit_length() - 1
-        raise NoGlobalMax(f"element {v} is not below {four} in both orders")
-
-    rest = [v for v in range(n) if v != four]
-    t = dp.restrict(rest)
-    idx = {v: i for i, v in enumerate(rest)}
-    if not classify(t).is_twin_tree:
+    everything = (1 << n) - 1
+    four = _maximum([w & s for w, s in zip(dp.west.below, dp.south.below)],
+                    everything)
+    if four is None:
+        raise NoGlobalMax("no element is above all others in both orders")
+    rest = everything ^ (1 << four)
+    if not classify(dp.restrict([v for v in range(n) if v != four])).is_twin_tree:
         raise RestrictionNotTwinTree("removing the top element must leave a twin tree")
 
-    i1, i3 = idx[one], idx[three]
-    i2 = idx[two] if two is not None else None
-    everything = (1 << t.n) - 1
-    if t.west.below[i3] != everything ^ (1 << i3):
-        raise BadSpine(f"{three} is not the west maximum of the restriction")
-    if t.south.below[i1] != everything ^ (1 << i1):
-        raise BadSpine(f"{one} is not the south maximum of the restriction")
+    three = _maximum(dp.west.below, rest)
+    one = _maximum(dp.south.below, rest)
+    if three is None or one is None or one == three:
+        raise BadSpine("the rest needs distinct west and south maxima")
+    # In a twin tree x < three exactly when the tree path from x to three is
+    # directed, so the elements between one and three are the path's inner
+    # nodes.  With three the west maximum and one the south maximum, every
+    # Hasse edge points west towards three and south towards one: the spine
+    # is monotone and every dangle hangs south-west.
+    between = dp.west.above[one] & dp.west.below[three]
+    if between.bit_count() > 1:
+        raise BadSpine(f"the tree path from {one} to {three} has more than "
+                       "two edges")
+    return ArboNE(dp, one, between.bit_length() - 1 if between else None,
+                  three, four)
 
-    # In a tree the path from one to three is unique, so it is the spine
-    # when the spine's consecutive elements are Hasse neighbours.
-    hasse = {frozenset(e) for e in t.west.covers()}
-    spine = [i1, i3] if i2 is None else [i1, i2, i3]
-    if any(frozenset(e) not in hasse for e in zip(spine, spine[1:])):
-        raise BadSpine(f"the tree path from {one} to {three} must be the spine "
-                       f"{[one, three] if two is None else [one, two, three]}")
 
-    # Nothing more to check.  With three the west maximum and one the south
-    # maximum, every Hasse edge points west towards three and south towards
-    # one: the spine is monotone and every dangle hangs south-west.  And
-    # four is below no element, by asymmetry.
-    return ArboNE(dp, one, two, three, four)
+def _maximum(below, among: int) -> int | None:
+    """The element of the bitmask `among` above all its other elements, by
+    the masks below[v] of the elements below v; None if there is none."""
+    for v in range(len(below)):
+        if among >> v & 1 and among & ~below[v] == 1 << v:
+            return v
+    return None
 
 
 @lru_cache(maxsize=1024)
@@ -369,8 +371,6 @@ def build_arbo(with_two: bool, dangle_parents: tuple[int, ...] = ()) -> ArboNE:
     `dangle_parents` adds one node hanging south-west of that element.
     """
     spine = [0, 1, 2] if with_two else [0, 1]
-    one, three = spine[0], spine[-1]
-    two = 1 if with_two else None
     four = len(spine)
     n = four + 1 + len(dangle_parents)
     west = []
@@ -390,8 +390,7 @@ def build_arbo(with_two: bool, dangle_parents: tuple[int, ...] = ()) -> ArboNE:
         west.append((next_id, four))
         south.append((next_id, four))
         next_id += 1
-    dp = double_poset(n, west, south)
-    return validate_arbo(dp, one=one, three=three, four=four, two=two)
+    return validate_arbo(double_poset(n, west, south))
 
 
 def bare_3214() -> ArboNE:

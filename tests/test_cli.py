@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,13 @@ def test_count_stream_requires_west_labels(write):
            "edges": [[0, 1, "S"], [2, 1, "N"]]}
     assert main(["count", "--perm", perm_file,
                  "--tree", write("b.json", bad), "--algorithm", "stream"]) == 3
+    # A chain whose west maximum is its last node: stream roots it there.
+    chain = {"type": "sn_polytree", "nodes": [0, 1, 2],
+             "edges": [[2, 1, "S"], [1, 0, "N"]]}
+    tree_file = write("c.json", chain)
+    for algorithm in ("stream", "general"):
+        assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                     "--algorithm", algorithm]) == 0
 
 
 def test_count_parse_failures(write):
@@ -173,6 +181,42 @@ def test_bad_relation_pair(kind, pair, write, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("error: ") == 2 and "Traceback" not in err
+
+
+def test_count_member_by_block_whatever_its_type(write, capsys):
+    # A family member written as a plain double poset counts by block, under
+    # auto and under --algorithm block, and agrees with its arbo_ne file.
+    arbo = build_arbo(True, (1,))
+    values = list(range(1, 1001))
+    random.Random(5).shuffle(values)
+    perm_file = write("p.txt", " ".join(map(str, values)))
+    plain = dict(arbo_doc(arbo), type="double_poset")
+    del plain["anchors"]
+    runs = [(write("a.json", arbo_doc(arbo)), "auto"),
+            (write("d.json", plain), "auto"),
+            (write("d.json", plain), "block")]
+    docs = []
+    for tree_file, algorithm in runs:
+        assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                     "--algorithm", algorithm, "--json"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert {d["algorithm"] for d in docs} == {"block"}
+    assert len({d["count"] for d in docs}) == 1
+
+
+def test_arbo_anchors_must_match_the_double_poset(write, capsys):
+    # build_arbo(True, (1,)) hangs element 4 below two = 1; naming it `two`
+    # disagrees with the spine read off the double poset.
+    doc = arbo_doc(build_arbo(True, (1,)))
+    doc["anchors"]["two"] = 4
+    tree_file = write("a.json", doc)
+    assert main(["validate", "--tree", tree_file]) == 2
+    assert main(["count", "--perm", write("p.txt", "2 1 3"),
+                 "--tree", tree_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2 and "Traceback" not in err
+    assert "disagree" in err
 
 
 def test_count_naive_on_plain_double_poset(write, capsys):
@@ -249,11 +293,28 @@ def test_validate_twin_tree(write, capsys):
 
 
 def test_validate_arbo(write, capsys):
-    assert main(["validate", "--tree",
-                 write("a.json", arbo_doc(build_arbo(True, (0,))))]) == 0
-    out = capsys.readouterr().out
-    assert "arbo_ne: valid" in out
-    assert "twin_tree: false" in out and "tree: true" in out
+    doc = arbo_doc(build_arbo(True, (0,)))
+    plain = dict(doc, type="double_poset")
+    del plain["anchors"]
+    for tree_doc in (doc, plain):
+        assert main(["validate", "--tree", write("a.json", tree_doc)]) == 0
+        out = capsys.readouterr().out
+        assert "arbo_ne: valid" in out
+        assert "twin_tree: false" in out and "tree: true" in out
+    assert main(["validate", "--tree", write("t.json", SE_TREE)]) == 0
+    assert "arbo_ne" not in capsys.readouterr().out
+
+
+def test_tree_file_not_utf8(write, capsys, tmp_path):
+    tree_file = tmp_path / "t.json"
+    tree_file.write_bytes(b"\xff\xfe")
+    perm_file = write("p.txt", "2 1 3")
+    for argv in (["validate"], ["count", "--perm", perm_file],
+                 ["pattern-vector"]):
+        assert main([*argv, "--tree", str(tree_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_selftest_deterministic(write, capsys):

@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
+from patterncount import core
 from patterncount.core import (
     Classification,
     DoublePoset,
@@ -29,6 +31,7 @@ from patterncount.core import (
     transitive_closure,
     transitive_reduction,
 )
+from patterncount.counting import naive_morphism_count
 
 
 def random_perm(rng, n):
@@ -201,6 +204,38 @@ def test_closure_rejects_cycle():
         transitive_closure([(0, 1), (1, 0)], 2)
     with pytest.raises(NotAcyclic):
         transitive_closure([(0, 0)], 1)
+
+
+def test_closure_skips_unrelated_elements():
+    start = time.perf_counter()
+    d = double_poset(100_000, [], [])
+    assert time.perf_counter() - start < 0.5
+    assert d.west.pairs == d.south.pairs == frozenset()
+    # A few relations among many unrelated elements: exact, cycles caught.
+    assert transitive_closure([(9000, 3), (3, 17)], 10_000).pairs == \
+        {(9000, 3), (3, 17), (9000, 17)}
+    with pytest.raises(NotAcyclic):
+        transitive_closure([(5000, 7), (7, 9999), (9999, 5000)], 10_000)
+
+
+def test_morphism_search_builds_only_the_mask_directions_it_reads(monkeypatch):
+    built = []
+    real = core._order_masks
+
+    def spy(dst, south, above):
+        built.append((south, above))
+        return real(dst, south, above)
+
+    monkeypatch.setattr(core, "_order_masks", spy)
+    pi = perm([2, 5, 1, 4, 3, 6])
+    # The west order is read upwards only; 3214's south pairs go both ways.
+    assert naive_morphism_count(perm_to_dp(perm([3, 2, 1, 4])), pi) == \
+        naive_pattern_count(pi, perm([3, 2, 1, 4]))
+    assert sorted(built) == [(False, True), (True, False), (True, True)]
+    built.clear()
+    assert naive_morphism_count(perm_to_dp(perm([1, 2, 3])), pi) == \
+        naive_pattern_count(pi, perm([1, 2, 3]))
+    assert sorted(built) == [(False, True), (True, True)]
 
 
 def test_negative_ground_set_is_rejected():

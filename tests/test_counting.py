@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,6 +226,24 @@ def test_engine_above_int64_matches_profiles(labels):
     expected = sum(corner_tree_profiles(pi, tree)[0][tree.root])
     assert 2 ** 64 < expected <= bound
     assert count_corner_tree(pi, tree) == expected
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 5, 32, 33, 64, 100, 129, 300])
+def test_schedule_sums_match_quadratic_sums(t):
+    # Keys are a permutation of 0..t-1; most sizes are no power of two.
+    rng = random.Random(t)
+    keys = list(range(t))
+    rng.shuffle(keys)
+    x = [rng.randrange(1000) for _ in range(t)]
+    schedule = _fast._SplitSchedule(np.array(keys, dtype=np.int64))
+    smaller = [sum(x[j] for j in range(i) if keys[j] < keys[i]) for i in range(t)]
+    ones = [sum(keys[j] < keys[i] for j in range(i)) for i in range(t)]
+    xs = np.array(x, dtype=np.int64)
+    assert schedule.dominance_smaller(xs, 2 ** 64).tolist() == smaller
+    assert schedule.dominance_smaller(xs, 7).tolist() == [v % 7 for v in smaller]
+    assert schedule.ones_smaller().tolist() == ones
+    assert schedule.key_prefix(xs).tolist() == \
+        [sum(x[j] for j in range(t) if keys[j] < keys[i]) for i in range(t)]
 
 
 def test_occurrence_bound_choice():

@@ -14,6 +14,7 @@ from patterncount.core import (
     StrictPoset,
     anti,
     canonical_form,
+    classify,
     double_poset,
     naive_pattern_count,
     perm,
@@ -109,13 +110,14 @@ def test_validate_accepts_larger_member():
 
 
 def test_validate_rejects_identity_spine():
+    # 1234: the rest, 123, has the same west and south maximum.
     with pytest.raises(BadSpine):
-        validate_arbo(perm_to_dp(perm([1, 2, 3, 4])), one=0, two=1, three=2, four=3)
+        validate_arbo(perm_to_dp(perm([1, 2, 3, 4])))
 
 
 def test_validate_rejects_missing_global_max():
     with pytest.raises(NoGlobalMax):
-        validate_arbo(perm_to_dp(perm([3, 2, 4, 1])), one=0, two=1, three=2, four=3)
+        validate_arbo(perm_to_dp(perm([3, 2, 4, 1])))
 
 
 def test_validate_rejects_misoriented_dangle():
@@ -126,21 +128,22 @@ def test_validate_rejects_misoriented_dangle():
     south = [(1, 0), (2, 1), (0, 4)] + [(v, 3) for v in (0, 1, 2, 4)]
     dp = double_poset(5, west, south)
     with pytest.raises((BadSpine, RestrictionNotTwinTree)):
-        validate_arbo(dp, one=0, two=1, three=2, four=3)
+        validate_arbo(dp)
     # North-type edge deeper in a dangle: the two Hasse trees disagree.
     west = [(0, 1), (1, 2), (4, 2), (5, 4)] + [(v, 3) for v in (0, 1, 2, 4, 5)]
     south = [(1, 0), (2, 1), (4, 2), (4, 5), (5, 0)] + \
         [(v, 3) for v in (0, 1, 2, 4, 5)]
     dp = double_poset(6, west, south)
     with pytest.raises(RestrictionNotTwinTree):
-        validate_arbo(dp, one=0, two=1, three=2, four=3)
+        validate_arbo(dp)
 
 
-def test_validate_rejects_wrong_spine_path():
-    # Dangle hanging below `two`, anchors claiming it is the spine middle.
-    arbo = build_arbo(True, (1,))
-    with pytest.raises(BadSpine):
-        validate_arbo(arbo.dp, one=0, two=4, three=2, four=3)
+def test_validate_rejects_long_spine():
+    # Spine 0 - 1 - 2 - 3 under the top 4: three Hasse edges.
+    west = [(0, 1), (1, 2), (2, 3)] + [(v, 4) for v in range(4)]
+    south = [(3, 2), (2, 1), (1, 0)] + [(v, 4) for v in range(4)]
+    with pytest.raises(BadSpine, match="more than two edges"):
+        validate_arbo(double_poset(5, west, south))
 
 
 def _members_up_to(max_n):
@@ -156,29 +159,61 @@ def _members_up_to(max_n):
     return forms
 
 
+def _anchor_choices(dp):
+    """Every (one, two, three, four) under which dp is a family member, by an
+    exhaustive search that checks the definition for each choice: four above
+    the rest in both orders, the rest a twin tree with west maximum three and
+    south maximum one, and the Hasse path one[-two]-three between them."""
+    west, south = dp.west.pairs, dp.south.pairs
+    out = []
+    for four in range(dp.n):
+        rest = [v for v in range(dp.n) if v != four]
+        if any((v, four) not in west or (v, four) not in south for v in rest):
+            continue
+        t = dp.restrict(rest)
+        if not classify(t).is_twin_tree:
+            continue
+        hasse = {frozenset((rest[a], rest[b])) for a, b in t.west.covers()}
+        for one, three in itertools.permutations(rest, 2):
+            if any((v, three) not in west for v in rest if v != three) or \
+                    any((v, one) not in south for v in rest if v != one):
+                continue
+            for two in (None, *rest):
+                spine = [one, three] if two is None else [one, two, three]
+                if len(set(spine)) == len(spine) and all(
+                        frozenset(e) in hasse for e in zip(spine, spine[1:])):
+                    out.append((one, two, three, four))
+    return out
+
+
 def test_validate_accepts_exactly_the_family():
-    # Every twin tree with at most 5 nodes plus a top, under every choice of
-    # anchors: the accepted double posets are the family members with at
-    # most 6 elements, each under one choice; every other choice raises.
+    # Every twin tree with at most 5 nodes plus a top, and the swap and anti
+    # images: validate_arbo accepts exactly the family members, and the
+    # anchors it derives are the one choice the exhaustive search accepts.
     members = _members_up_to(6)
     assert len(members) == 33
-    accepted = []
+    posets = []
     for k in range(1, 6):
         for tree in enumerate_snpolytrees(k):
             t = snpolytree_to_dp(tree)
             dp = DoublePoset(k + 1, *(
                 StrictPoset(k + 1, p.pairs | {(v, k) for v in range(k)})
                 for p in (t.west, t.south)))
-            for one, two, three, four in itertools.product(
-                    [None, *range(k + 1)], repeat=4):
-                if None in (one, three, four):
-                    continue
-                try:
-                    validate_arbo(dp, one=one, two=two, three=three, four=four)
-                except (BadSpine, NoGlobalMax, RestrictionNotTwinTree):
-                    continue
-                accepted.append(canonical_form(dp))
-    assert len(accepted) == len(members) and set(accepted) == members
+            posets += [dp, swap(dp), anti(dp)]
+    assert len(posets) == 1188
+    accepted = []
+    for dp in posets:
+        choices = _anchor_choices(dp)
+        try:
+            arbo = validate_arbo(dp)
+        except (BadSpine, NoGlobalMax, RestrictionNotTwinTree):
+            assert choices == []
+            continue
+        assert choices == [(arbo.one, arbo.two, arbo.three, arbo.four)]
+        assert arbo.dp is dp
+        accepted.append(dp)
+    assert len(accepted) == 66
+    assert {canonical_form(dp) for dp in accepted} == members
 
 
 def test_two_absent():
@@ -221,9 +256,9 @@ def test_decompose_swap_transposes():
     rng = random.Random(42)
     for _ in range(20):
         arbo = random_arbo(rng, max_extra=2)
-        swapped = validate_arbo(
-            swap(arbo.dp), one=arbo.three, three=arbo.one,
-            four=arbo.four, two=arbo.two)
+        swapped = validate_arbo(swap(arbo.dp))
+        assert (swapped.one, swapped.two, swapped.three, swapped.four) == \
+            (arbo.three, arbo.two, arbo.one, arbo.four)
         a, b = decompose(arbo), decompose(swapped)
         assert a.west_tree.edges == b.inv_west_tree.edges
         assert a.inv_west_tree.edges == b.west_tree.edges
