@@ -26,7 +26,8 @@ counting and gen3214, reorganized so numpy does the work:
 Counts live in ring arithmetic, so they are exact on every input.  Only
 positions and values are ever compared; a count only meets +, -, * and
 cumsum, which in int64 wrap modulo 2^64.  A pass therefore first runs in
-that natural ring.  When the caller's a-priori bound on the count reaches
+that natural ring.  When the caller's a-priori bound on the count
+(core.morphism_bound of the tree's or the member's double poset) reaches
 2^64, the pass runs once more modulo each prime below 2^31 that the bound
 requires, and the residues are combined by the Chinese remainder theorem.
 Each schedule is built once and serves every modulus.  A prime pass keeps
@@ -203,20 +204,22 @@ def _partition(order, left, left_rank, half, runbase, pos_in_run):
     return new_order
 
 
-def _tree_values(tree: CornerTree, schedule: _SplitSchedule, q: int,
-                 node=None) -> np.ndarray | None:
-    """Placement counts of each subtree with its root at each sequence point,
-    reduced.
+def _tree_values(tree: CornerTree, schedule: _SplitSchedule,
+                 q: int) -> np.ndarray | None:
+    """Placement counts of the tree with its root at each sequence point,
+    reduced; None for a single node, meaning "identically one".
 
-    Returns None for leaves, meaning "identically one".
+    Subtrees are valued children first, and each child's values are dropped
+    once its parent has used them.
     """
-    node = tree.root if node is None else node
-    x = None
-    for child, label in tree.children(node):
-        z = _corner_sums(schedule, _tree_values(tree, schedule, q, child),
-                         label, q)
-        x = z if x is None else _mod(x * z, q)
-    return x
+    values: dict = {}
+    for node in tree.children_first:
+        x = None
+        for child, label in tree.children(node):
+            z = _corner_sums(schedule, values.pop(child), label, q)
+            x = z if x is None else _mod(x * z, q)
+        values[node] = x
+    return values[tree.root]
 
 
 def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None, label: str,

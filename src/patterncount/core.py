@@ -18,6 +18,7 @@ classes; pattern_count_table, by subset enumeration, is its test oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Sequence
@@ -288,6 +289,30 @@ def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
         if onto and nd - used[k].bit_count() == ns - k:
             m &= ~used[k]
         cands[k] = m
+
+
+def morphism_bound(d: DoublePoset, n: int) -> int:
+    """A bound on |Mor(d, pi)| for every permutation pi of length n.
+
+    A morphism is fixed by its positions, which strictly increase along the
+    west order, and also by its values, which strictly increase along the
+    south order.  When an order is a forest rooted at its maxima (every
+    element has at most one upper cover), at most a fraction 1/prod(|down-set
+    of v|) of the n^k maps increase strictly along it: the hook-length
+    argument for forests.  A forest rooted at its minima works the same way
+    with up-sets.  The bound divides n^k by the largest such product, or is
+    n^k when neither order is such a forest; for a chain it is n^k / k!.
+    """
+    hooks = 1
+    for order in (d.west, d.south):
+        covers = order.covers()
+        lower = [a for a, _ in covers]  # a once for each upper cover of a
+        upper = [b for _, b in covers]
+        if len(lower) == len(set(lower)):  # a forest rooted at its maxima
+            hooks = max(hooks, math.prod(m.bit_count() + 1 for m in order.below))
+        if len(upper) == len(set(upper)):  # a forest rooted at its minima
+            hooks = max(hooks, math.prod(m.bit_count() + 1 for m in order.above))
+    return n ** d.n // hooks
 
 
 def std(window: Sequence[int]) -> Permutation:

@@ -5,14 +5,15 @@ which serves every corner label from a single south-west dominance sum
 over the permutation: a child's values summed over each point's NW, SE and
 NE quadrants are the position prefix, the value prefix and the total,
 corrected by that SW sum.  Counts are exact: the engine works in ring
-arithmetic under an a-priori bound on the count and recombines the
-residues by the Chinese remainder theorem.
+arithmetic under an a-priori bound on the count, core.morphism_bound of
+the tree's double poset, and recombines the residues by the Chinese
+remainder theorem.
 
 Two pure-Python paths stay beside it.  corner_tree_profiles runs one
-Fenwick scan per edge, bottom-up: insert the child's profile value at the
-point's value index, then read a strict prefix (S labels) or strict suffix
-(N labels) sum, scanning ascending positions for W labels and descending
-ones for E labels; it is the oracle.  StreamWestCounter is the online
+Fenwick scan per edge, children first: insert the child's profile value
+at the point's value index, then read a strict prefix (S labels) or
+strict suffix (N labels) sum, scanning ascending positions for W labels
+and descending ones for E labels; it is the oracle.  StreamWestCounter is the online
 counter for trees whose labels are all W (NW/SW): points arrive in
 increasing position and each returns its root placements at once, which
 the block decomposition's reference passes in gen3214 use.
@@ -23,11 +24,9 @@ that core._iter_morphisms, the package's one morphism search, yields.
 
 from __future__ import annotations
 
-import math
-
-from .core import DoublePoset, Permutation, _iter_morphisms
+from .core import DoublePoset, Permutation, _iter_morphisms, morphism_bound
 from .indexstructs import SumTree
-from .trees import CornerTree
+from .trees import CornerTree, ct_to_snpolytree, snpolytree_to_dp
 
 
 class NotWestTree(ValueError):
@@ -53,29 +52,21 @@ def corner_tree_profiles(pi: Permutation, ct: CornerTree):
     vals = pi.zero_indexed()
     vertex: dict = {}
     edge: dict = {}
-
-    def eval_vertex(v) -> list[int]:
+    for v in ct.children_first:
         profile = [1] * n
         for child, label in ct.children(v):
-            z = eval_edge(v, child, label)
+            x = vertex[child]
+            y = SumTree(n)
+            z = [0] * n
+            order = range(n) if label in ("NW", "SW") else range(n - 1, -1, -1)
+            west_query = label in ("SE", "SW")
+            for i in order:
+                val = vals[i] + 1
+                y.add(val, x[i])
+                z[i] = y.prefix(val) if west_query else y.suffix(val)
+            edge[(v, child)] = z
             profile = [a * b for a, b in zip(profile, z)]
         vertex[v] = profile
-        return profile
-
-    def eval_edge(parent, child, label) -> list[int]:
-        x = eval_vertex(child)
-        y = SumTree(n)
-        z = [0] * n
-        order = range(n) if label in ("NW", "SW") else range(n - 1, -1, -1)
-        west_query = label in ("SE", "SW")
-        for i in order:
-            v = vals[i] + 1
-            y.add(v, x[i])
-            z[i] = y.prefix(v) if west_query else y.suffix(v)
-        edge[(parent, child)] = z
-        return z
-
-    eval_vertex(ct.root)
     return vertex, edge
 
 
@@ -84,36 +75,13 @@ def count_corner_tree(pi: Permutation, ct: CornerTree) -> int:
     return _count(pi, ct)
 
 
-def occurrence_bound(ct: CornerTree, n: int) -> int:
-    """A bound on the occurrences of ct in every permutation of length n.
-
-    When every label is west (or every label is east), an occurrence is
-    strictly monotone along each root path in position, so it is a strict
-    order-preserving map from the rooted tree into a chain.  Of the n^k
-    maps, at most a fraction 1/prod(|subtree(v)|) are (the hook-length
-    argument of gen3214.morphism_bound), and the same holds in value when
-    every label is south (or every label is north).  Otherwise n^k.
-    """
-    k = ct.size()
-    labels = ct.labels()
-    if len({lab[0] for lab in labels}) > 1 and len({lab[1] for lab in labels}) > 1:
-        return n ** k
-    sizes: dict = {}
-
-    def size(v) -> int:
-        sizes[v] = 1 + sum(size(c) for c, _ in ct.children(v))
-        return sizes[v]
-
-    size(ct.root)
-    return n ** k // math.prod(sizes.values())
-
-
 def _count(pi: Permutation, ct: CornerTree) -> int:
     if pi.n == 0:
         return 0
     from . import _fast
 
-    return _fast.count_corner_tree(pi, ct, occurrence_bound(ct, pi.n))
+    return _fast.count_corner_tree(
+        pi, ct, morphism_bound(corner_tree_to_dp(ct), pi.n))
 
 
 class StreamWestCounter:
@@ -130,19 +98,8 @@ class StreamWestCounter:
         self.n = n
         self._last_x = -1
         self._seen_y = [False] * n
-        # Post-order node list so child values exist before the parent needs them.
-        post: list = []
-
-        def visit(v):
-            for c, _ in tree.children(v):
-                visit(c)
-            post.append(v)
-
-        visit(tree.root)
-        self._post_order = post
         self._edge_trees = {
             (p, c): SumTree(n) for p, c, _ in tree.edges}
-        self._labels = {(p, c): lab for p, c, lab in tree.edges}
 
     def process(self, x: int, y: int) -> int:
         """Feed the point (x, y); 0-indexed coordinates."""
@@ -156,15 +113,12 @@ class StreamWestCounter:
         self._last_x = x
         value: dict = {}
         yi = y + 1
-        for v in self._post_order:
+        for v in self.tree.children_first:
             acc = 1
-            for child, _ in self.tree.children(v):
+            for child, label in self.tree.children(v):
                 st = self._edge_trees[(v, child)]
                 st.add(yi, value[child])
-                if self._labels[(v, child)] == "SW":
-                    acc *= st.prefix(yi)
-                else:
-                    acc *= st.suffix(yi)
+                acc *= st.prefix(yi) if label == "SW" else st.suffix(yi)
             value[v] = acc
         return value[self.tree.root]
 
@@ -201,8 +155,6 @@ def count_morphisms_into_perm(d: DoublePoset, pi: Permutation) -> int:
 
 def corner_tree_to_dp(ct: CornerTree) -> DoublePoset:
     """The twin tree double poset whose morphisms are the tree's occurrences."""
-    from .trees import ct_to_snpolytree, snpolytree_to_dp
-
     return snpolytree_to_dp(ct_to_snpolytree(ct))
 
 

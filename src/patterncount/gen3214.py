@@ -29,21 +29,22 @@ type B.  For the box, each of `one`, `two` and `three` carries one tree of
 the dangles below it (see decompose).
 
 method="auto" and "fast" run the numpy passes of the _fast module, which
-handle one position block at a time.  method="exact" runs the streaming
-reference passes, kept as oracles: a gated StreamWestCounter per block for
-types A and B, and for the box the dangle weights of `one` and `three` as
-lists, a 2-D accumulator only for the dangle2 box sums, and a loop over
-every candidate `four`.
+handle one position block at a time and are exact under the a-priori bound
+core.morphism_bound of the member's double poset.  method="exact" runs the
+streaming reference passes, kept as oracles: a gated StreamWestCounter per
+block for types A and B, and for the box the dangle weights of `one` and
+`three` as lists, a 2-D accumulator only for the dangle2 box sums, and a
+loop over every candidate `four`.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import DoublePoset, Permutation, classify, double_poset, swap
+from .core import (DoublePoset, Permutation, classify, double_poset,
+                   morphism_bound, swap)
 from .counting import StreamWestCounter
 from .indexstructs import ProductTree
 from .trees import CornerTree, dp_to_snpolytree, snpolytree_to_ct
@@ -205,17 +206,6 @@ def _check_block_args(m, method: str) -> int:
     return int(m)
 
 
-def morphism_bound(arbo: ArboNE, n: int) -> int:
-    """A bound on |Mor(arbo, pi)| for every permutation pi of length n.
-
-    A morphism is strictly increasing along the west order, a rooted tree
-    with `four` on top.  Of the n^k maps, at most a fraction 1/prod(|down-set
-    of v|) do that (the hook-length argument for forests).  For a chain the
-    bound is n^k / k!, just above C(n, k).
-    """
-    return n ** arbo.n // math.prod(b.bit_count() + 1 for b in arbo.dp.west.below)
-
-
 # ------------------------------------------------------- types A and B
 
 def _gated_block(g: tuple[int, ...], tree: CornerTree, r: int, m: int,
@@ -254,7 +244,8 @@ def count_type_a(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") ->
     if method != "exact":
         from . import _fast
 
-        return _fast.count_type_a(pi, dec.west_tree, m, morphism_bound(arbo, n))
+        return _fast.count_type_a(pi, dec.west_tree, m,
+                                  morphism_bound(arbo.dp, n))
     vals = pi.zero_indexed()
     return sum(_gated_block(vals, dec.west_tree, r, m, False)
                for r in range(m, n, m))
@@ -279,7 +270,7 @@ def count_type_b_not_a(pi: Permutation, arbo: ArboNE, m: int,
         from . import _fast
 
         return _fast.count_type_b_not_a(pi, dec.inv_west_tree, m,
-                                        morphism_bound(arbo, n))
+                                        morphism_bound(arbo.dp, n))
     inv_vals = pi.inverse().zero_indexed()
     return sum(_gated_block(inv_vals, dec.inv_west_tree, c, m, True)
                for c in range(m, n, m))
@@ -312,7 +303,7 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
     if method != "exact":
         from . import _fast
 
-        return _fast.count_box(pi, dec, m, morphism_bound(arbo, n))
+        return _fast.count_box(pi, dec, m, morphism_bound(arbo.dp, n))
     vals = pi.zero_indexed()
     inv = pi.inverse().zero_indexed()
 

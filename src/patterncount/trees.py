@@ -7,6 +7,11 @@ whose arrows all point at the west endpoint of each edge and whose label
 records whether that endpoint is south or north of the other one: an SN
 polytree.  SN polytrees in turn are exactly the twin tree double posets.
 
+A CornerTree checks its edges by one walk from the root, which also stores
+each node's children and an order listing every node after its children.
+The counters walk a tree along that order, without recursion, so trees of
+any depth count.
+
 Polytree edges are stored as (tail, head, label) with head = the arrow's
 target, i.e. the west element of the pair.  Getting this direction wrong
 is the classic bug here, so the conversions below are all derived from the
@@ -53,7 +58,12 @@ class MalformedTree(ValueError):
 
 @dataclass(frozen=True)
 class CornerTree:
-    """Rooted tree with edges (parent, child, label in NE/NW/SE/SW)."""
+    """Rooted tree with edges (parent, child, label in NE/NW/SE/SW).
+
+    The read-only tuple children_first lists every node after all of its
+    children; it and each node's children are computed once, by the walk
+    from the root that checks the edges, and are not fields, so ==, hash
+    and repr ignore them."""
 
     root: object
     edges: tuple[tuple[object, object, str], ...]
@@ -62,35 +72,40 @@ class CornerTree:
         # Edge order is irrelevant; normalize so equality is semantic.
         object.__setattr__(self, "edges", tuple(
             sorted(self.edges, key=lambda e: (repr(e[0]), repr(e[1])))))
-        parents = {}
+        kids: dict = {}
+        has_parent = set()
         for parent, child, label in self.edges:
             if label not in CORNER_LABELS:
                 raise MalformedTree(f"bad corner label {label!r}")
-            if child in parents or child == self.root:
+            if child in has_parent or child == self.root:
                 raise MalformedTree(f"node {child!r} has two parents or is the root")
-            parents[child] = parent
-        # Every non-root node must reach the root through parent edges.
-        for node in parents:
-            seen = set()
-            while node != self.root:
-                if node in seen or node not in parents:
-                    raise MalformedTree("edges do not form a tree on the root")
-                seen.add(node)
-                node = parents[node]
+            has_parent.add(child)
+            kids.setdefault(parent, []).append((child, label))
+        # With one parent per node and none for the root, the walk from the
+        # root meets each node once; it misses the nodes on a cycle and below
+        # a parent that the root does not reach.
+        order = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(child for child, _ in kids.get(node, ()))
+        if len(order) != len(self.edges) + 1:
+            raise MalformedTree("edges do not form a tree on the root")
+        # Reversed, the depth-first preorder puts each subtree before its root.
+        object.__setattr__(self, "children_first", tuple(reversed(order)))
+        object.__setattr__(self, "_kids",
+                           {node: tuple(cs) for node, cs in kids.items()})
 
     @property
     def nodes(self) -> frozenset:
-        out = {self.root}
-        for parent, child, _ in self.edges:
-            out.add(parent)
-            out.add(child)
-        return frozenset(out)
+        return frozenset(self.children_first)
 
-    def children(self, node) -> list[tuple[object, str]]:
-        return [(c, lab) for p, c, lab in self.edges if p == node]
+    def children(self, node) -> tuple[tuple[object, str], ...]:
+        return self._kids.get(node, ())
 
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.children_first)
 
     def labels(self) -> set[str]:
         return {lab for _, _, lab in self.edges}

@@ -11,6 +11,7 @@ import patterncount
 
 from patterncount.cli import main, parse_tree_spec, tree_spec_to_dict
 from patterncount.core import double_poset, perm, perm_to_dp
+from patterncount.counting import corner_tree_profiles
 from patterncount.gen3214 import (
     bare_3214,
     build_arbo,
@@ -143,6 +144,21 @@ def test_bad_ground_set_size(kind, n, write, capsys):
     assert main(["validate", "--tree", tree_file]) == 2
     assert main(["count", "--perm", write("p.txt", "2 1 3"),
                  "--tree", tree_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [2 ** 62, 2 ** 70])
+@pytest.mark.parametrize("kind", ["double_poset", "arbo_ne"])
+def test_huge_ground_set_hits_size_cap(kind, n, write, capsys):
+    # Python refuses both list sizes (MemoryError, OverflowError) before it
+    # allocates anything.
+    doc = dict(arbo_doc(bare_3214()), type=kind, n=n, west=[], south=[])
+    tree_file = write("d.json", doc)
+    assert main(["validate", "--tree", tree_file]) == 3
+    assert main(["count", "--perm", write("p.txt", "2 1 3"),
+                 "--tree", tree_file]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("error: ") == 2 and "Traceback" not in err
@@ -324,6 +340,30 @@ def test_selftest_deterministic(write, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.count(": pass") == 6
+
+
+def test_selftest_checks_the_exact_block_path(monkeypatch, capsys):
+    from patterncount import gen3214
+
+    real = gen3214._gated_block
+    monkeypatch.setattr(gen3214, "_gated_block",
+                        lambda *args: real(*args) + 1)
+    assert main(["selftest"]) == 1
+    assert "block-vs-pattern-oracle: FAIL" in capsys.readouterr().out
+
+
+def test_deep_corner_tree_counts(write, capsys):
+    # A 1200-node path lies far beyond Python's recursion limit.
+    labels = (["NW", "SE"] * 600)[:1199]
+    tree = CornerTree(0, tuple((i, i + 1, lab) for i, lab in enumerate(labels)))
+    pi = perm([3, 1, 2, 5, 4])
+    expected = sum(corner_tree_profiles(pi, tree)[0][0])
+    perm_file = write("p.txt", "3 1 2 5 4")
+    tree_file = write("t.json", tree_spec_to_dict(tree))
+    for algorithm in ("auto", "general"):
+        assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                     "--algorithm", algorithm]) == 0
+        assert capsys.readouterr().out == f"{expected}\n"
 
 
 def test_selftest_failure_exits_one(monkeypatch, capsys):

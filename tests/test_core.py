@@ -28,10 +28,13 @@ from patterncount.core import (
     relabel,
     std,
     swap,
+    morphism_bound,
     transitive_closure,
     transitive_reduction,
 )
-from patterncount.counting import naive_morphism_count
+from patterncount.counting import count_morphisms_into_perm, naive_morphism_count
+from patterncount.gen3214 import bare_3214, build_arbo, level5_arbos
+from patterncount.trees import enumerate_snpolytrees, snpolytree_to_dp
 
 
 def random_perm(rng, n):
@@ -400,3 +403,34 @@ def test_restrict_rejects_out_of_range_element():
         perm_to_dp(perm([2, 1])).restrict([5])
     with pytest.raises(InvalidInput):
         perm_to_dp(perm([2, 1])).restrict([-1])
+
+
+# ------------------------------------------------------- morphism bound
+
+def _perms_up_to(n):
+    return [Permutation(p) for k in range(n + 1)
+            for p in itertools.permutations(range(1, k + 1))]
+
+
+def _two_spine_members(max_n):
+    """build_arbo(False, parents) for every parents tuple up to max_n elements."""
+    members, todo = [], [()]
+    while todo:
+        parents = todo.pop()
+        arbo = build_arbo(False, parents)
+        if arbo.n <= max_n:
+            members.append(arbo)
+            todo += [parents + (p,) for p in range(arbo.n) if p != 2]
+    return members
+
+
+@pytest.mark.parametrize("posets, size", [
+    ([snpolytree_to_dp(t) for k in range(1, 6) for t in enumerate_snpolytrees(k)],
+     5),
+    ([a.dp for a in [bare_3214(), *_two_spine_members(6), *level5_arbos()]], 6),
+], ids=["twin-trees", "members"])
+def test_morphism_bound_holds(posets, size):
+    perms = _perms_up_to(size)
+    for d in posets:
+        for pi in perms:
+            assert count_morphisms_into_perm(d, pi) <= morphism_bound(d, pi.n)

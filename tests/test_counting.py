@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from patterncount import _fast
 
-from patterncount.core import Permutation, naive_pattern_count, perm, perm_to_dp
+from patterncount.core import (
+    Permutation,
+    morphism_bound,
+    naive_pattern_count,
+    perm,
+    perm_to_dp,
+)
 from patterncount.counting import (
     BudgetExceeded,
     NotWestTree,
@@ -20,7 +26,6 @@ from patterncount.counting import (
     count_corner_tree,
     naive_corner_tree_count,
     naive_morphism_count,
-    occurrence_bound,
 )
 from patterncount.trees import CornerTree, snpolytree_to_ct
 from tests.test_gen3214 import structured_perms
@@ -40,6 +45,10 @@ def random_west_tree(rng, max_nodes=5) -> CornerTree:
         for child in range(1, k)
     )
     return CornerTree(0, edges)
+
+
+def occurrence_bound(ct: CornerTree, n: int) -> int:
+    return morphism_bound(corner_tree_to_dp(ct), n)
 
 
 SE_NE_NW_TREE = CornerTree("r", (
@@ -253,9 +262,10 @@ def test_occurrence_bound_choice():
     assert 100_000 ** 4 >= 2 ** 64
     assert occurrence_bound(west, 100_000) == 100_000 ** 4 // 8
     assert _fast._moduli(occurrence_bound(west, 100_000)) == (2 ** 64,)
-    # All south: a rooted tree in value order.
-    assert occurrence_bound(_star(("SE", "SW")), 10) == 10 ** 3 // 3
-    assert occurrence_bound(SE_NE_NW_TREE, 10) == 10 ** 4
+    # All south: a rooted tree in value order, and a chain in position order.
+    assert occurrence_bound(_star(("SE", "SW")), 10) == 10 ** 3 // 6
+    # Mixed labels: the position order is a tree rooted at its maximum.
+    assert occurrence_bound(SE_NE_NW_TREE, 10) == 10 ** 4 // 12
     chain = CornerTree(0, tuple((i, i + 1, "NE") for i in range(3)))
     assert occurrence_bound(chain, 10) == 10 ** 4 // 24
 
@@ -273,3 +283,19 @@ def test_engine_matches_morphism_count_on_structured_inputs(pi, ct):
     expected = naive_corner_tree_count(pi, ct)
     assert expected <= occurrence_bound(ct, pi.n)
     assert count_corner_tree(pi, ct) == expected
+
+
+def _path(labels) -> CornerTree:
+    return CornerTree(0, tuple((i, i + 1, lab) for i, lab in enumerate(labels)))
+
+
+def test_deep_trees_walk_without_recursion():
+    # 1200 nodes lie far beyond Python's recursion limit.
+    pi = perm([3, 1, 2, 5, 4])
+    zigzag = _path((["NW", "SE"] * 600)[:1199])
+    expected = sum(corner_tree_profiles(pi, zigzag)[0][zigzag.root])
+    assert expected > 2 ** 64
+    assert count_corner_tree(pi, zigzag) == expected
+    counter = StreamWestCounter(_path(["SW"] * 1199), pi.n)
+    assert [counter.process(x, y) for x, y in enumerate(pi.zero_indexed())] \
+        == [0] * 5

@@ -16,6 +16,7 @@ from patterncount.core import (
     canonical_form,
     classify,
     double_poset,
+    morphism_bound,
     naive_pattern_count,
     perm,
     perm_to_dp,
@@ -37,7 +38,6 @@ from patterncount.gen3214 import (
     decompose,
     default_block_size,
     level5_arbos,
-    morphism_bound,
     validate_arbo,
 )
 
@@ -433,11 +433,12 @@ def test_modulus_choice():
     # One int64 pass is exact while the hook-length bound stays below 2^64;
     # n^4 itself is above 2^64 for bare_3214 at n = 80 000.
     assert 80_000 ** 4 >= 2 ** 64
-    assert _fast._moduli(morphism_bound(bare_3214(), 80_000)) == (2 ** 64,)
+    assert _fast._moduli(morphism_bound(bare_3214().dp, 80_000)) == (2 ** 64,)
     for arbo in LEVEL5_MEMBERS:
-        assert _fast._moduli(morphism_bound(arbo, 4000)) == (2 ** 64,)
-    assert len(_fast._moduli(morphism_bound(build_arbo(True, (2,) * 4), 1100))) == 2
-    moduli = _fast._moduli(morphism_bound(build_arbo(True, (2,) * 8), 700))
+        assert _fast._moduli(morphism_bound(arbo.dp, 4000)) == (2 ** 64,)
+    wide4, wide8 = build_arbo(True, (2,) * 4), build_arbo(True, (2,) * 8)
+    assert len(_fast._moduli(morphism_bound(wide4.dp, 1100))) == 2
+    moduli = _fast._moduli(morphism_bound(wide8.dp, 700))
     assert len(moduli) == 3
     for q in moduli[1:]:
         assert q < 2 ** 31 and all(q % d for d in range(2, 46341))
@@ -445,8 +446,8 @@ def test_modulus_choice():
 
 def test_morphism_bound_of_a_chain():
     # bare_3214 is a chain in the west order: n^4 / 4!, just above C(n, 4).
-    assert morphism_bound(bare_3214(), 50) == 50 ** 4 // 24
-    assert morphism_bound(bare_3214(), 50) >= math.comb(50, 4)
+    assert morphism_bound(bare_3214().dp, 50) == 50 ** 4 // 24
+    assert morphism_bound(bare_3214().dp, 50) >= math.comb(50, 4)
 
 
 def test_crt_recovers_large_integers():
@@ -521,7 +522,7 @@ def test_ring_path_at_default_block_size():
     arbo = build_arbo(True, (2, 2, 2, 2))
     pi = random_perm(random.Random(202), 1100)
     m = default_block_size(pi.n)
-    assert len(_fast._moduli(morphism_bound(arbo, pi.n))) == 2
+    assert len(_fast._moduli(morphism_bound(arbo.dp, pi.n))) == 2
     assert count_box(pi, arbo, m, method="fast") == \
         count_box(pi, arbo, m, method="exact")
     assert count_gen_3214(pi, arbo) == count_gen_3214(pi, arbo, 10)
@@ -572,7 +573,7 @@ structured_perms = st.one_of(
 def test_structured_inputs_match_morphism_count(pi, arbo):
     expected = count_morphisms_into_perm(arbo.dp, pi)
     n = pi.n
-    assert expected <= morphism_bound(arbo, n)
+    assert expected <= morphism_bound(arbo.dp, n)
     for m in {1, n - 1, n, n + 1} - {0}:
         assert count_gen_3214(pi, arbo, m) == expected
         assert count_gen_3214(pi, arbo, m, method="exact") == expected

@@ -260,3 +260,28 @@ def test_tree_edge_count_without_tree_rejected(edges):
     # n - 1 edges, so only the connectivity check can reject them.
     with pytest.raises(MalformedTree):
         SNPolytree((0, 1, 2, 3), edges)
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1, "NE"), (2, 3, "SW"), (3, 2, "NW")),  # cycle away from the root
+    ((0, 1, "NE"), (1, 0, "SW")),  # edge into the root
+    ((0, 1, "NE"), (5, 6, "SW")),  # parent the root does not reach
+], ids=["cycle", "into-root", "unreached-parent"])
+def test_corner_tree_walk_rejects(edges):
+    with pytest.raises(MalformedTree):
+        CornerTree(0, edges)
+
+
+def test_corner_tree_stored_walk():
+    edges = (("r", "a", "SE"), ("a", "b", "NE"), ("a", "c", "NW"),
+             ("r", "d", "SW"))
+    ct = CornerTree("r", edges)
+    other = CornerTree("r", edges[::-1])
+    # The stored walk is no field: edge order changes none of ==, hash, repr.
+    assert ct == other and hash(ct) == hash(other) and repr(ct) == repr(other)
+    order = ct.children_first
+    assert sorted(order) == sorted(ct.nodes) and ct.size() == 5
+    for parent, child, _ in edges:
+        assert order.index(child) < order.index(parent)
+    assert ct.children("a") == (("b", "NE"), ("c", "NW"))
+    assert ct.children("b") == () and ct.children("d") == ()
