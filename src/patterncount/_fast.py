@@ -5,8 +5,11 @@ counting and gen3214, reorganized so numpy does the work:
 
 * One offline scan engine serves every corner label.  A top-down merge
   schedule over a sequence's keys answers "sum of x over earlier points
-  with smaller key" (the SW sum) for the whole sequence at once, one
-  cumsum per merge level.  The other three quadrants follow from it:
+  with smaller key" (the SW sum) for the whole sequence at once.  Each
+  level splits aligned runs of sequence indices, sorted by key, into their
+  lower and upper halves; it gathers x at the lower halves only, takes one
+  in-run cumsum of them and adds each upper-half point's prefix to its sum.
+  The other three quadrants follow from it:
   NW = position prefix - SW, SE = key prefix - SW, and
   NE = total - x - position prefix - key prefix + SW, where the position
   prefix sums x over earlier points and the key prefix sums x over smaller
@@ -93,79 +96,57 @@ def _prefix_sums(x: np.ndarray, q: int) -> np.ndarray:
     return _mod(np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(x)]), q)
 
 
-def _run_length(size: int) -> int:
-    # Larger dense runs at large sizes trade one split level for a compact
-    # in-cache kernel.
-    return 64 if size >= (1 << 16) else min(32, size)
-
-
-@lru_cache(maxsize=16)
-def _level_geometry(size: int, run: int):
-    """Static per-level run layout shared by every schedule of this size."""
-    idx = np.arange(size, dtype=np.int32)
-    geo = []
-    s = size
-    while s >= 2 * run:
-        half = s >> 1
-        runbase = idx - (idx & (s - 1))
-        geo.append((half, runbase, idx - runbase))
-        s = half
-    return tuple(geo)
-
-
-@lru_cache(maxsize=4)
-def _upper_tri(run: int) -> np.ndarray:
-    j = np.arange(run)
-    return j[:, None] < j[None, :]
-
-
 class _SplitSchedule:
     """Top-down merge split of one key sequence, shared across transforms.
 
-    Levels split key-sorted runs into their aligned halves; the cross
-    contribution of each split is a masked cumsum read off at right-half
-    slots.  Runs at the bottom are handled by one dense matrix per run.
-    The construction pass lays out every level and the bottom matrices
-    once, and the all-ones transform falls out of it and is stored; each
-    further transform replays the stored layout.
+    The sequence is padded to a power of two, size.  At the level of run
+    length s = 2h the slots form size / s runs; run r holds the sequence
+    indices [r * s, (r + 1) * s) sorted by key.  An index in the run's lower
+    half is a left, one in its upper half a right, and the split's SW
+    contribution to a right is the sum of x over the lefts sorted before it
+    in its run.  Each level keeps three half-size arrays: lefts and rights,
+    the sequence indices of each half in slot order, and at, each right's
+    flat index into a zero-padded (runs, h + 1) table of the in-run prefix
+    sums of x at the lefts.  The next level's slots are each run's lefts
+    followed by its rights, and the levels go down to runs of two.  The
+    all-ones transform falls out of the construction pass and is stored;
+    each further transform replays the stored levels.
     """
 
     def __init__(self, keys: np.ndarray):
         """keys must be a permutation of 0..t-1."""
         t = len(keys)
-        size = 1
-        while size < max(t, 1):
-            size *= 2
-        self.t = t
-        self.size = size
-        run = _run_length(size)
+        size = 1 << max(t - 1, 0).bit_length()
+        self.t, self.size = t, size
         # The key order, padded with the keys t..size-1 in their own slots.
         self._order0 = np.arange(size, dtype=np.int32)
         self._order0[keys] = np.arange(t, dtype=np.int32)
-        ones = np.zeros(size, dtype=np.int64)
+        ones = np.zeros(size, dtype=np.int32)
         order = self._order0
         self._levels = []
-        for half, runbase, pos_in_run in _level_geometry(size, run):
-            left = (order & half) == 0
-            c = np.cumsum(left, dtype=np.int32)
-            ec = c - left
-            w = ec - ec.take(runbase)  # lefts sorted before each slot, in-run
-            right = np.flatnonzero(~left).astype(np.int32)
-            dest = order.take(right)
-            ones[dest] += w.take(right)
-            # In a prefix array with a leading zero, the lefts sorted before
-            # a right slot in its run are prefix[right + 1] - prefix[runbase].
-            self._levels.append((order, left, right + 1, runbase.take(right), dest))
-            order = _partition(order, left, w, half, runbase, pos_in_run)
-        self._bottom = order
-        o = order.reshape(size // run, run)
-        self._kernel = (o[:, :, None] < o[:, None, :]) & _upper_tri(run)
-        ones[order] += self._kernel.sum(axis=1).ravel()
+        i = np.arange(size // 2, dtype=np.int32)  # each right's rank among rights
+        slots = np.arange(size, dtype=np.int32)
+        s = size
+        while s > 1:
+            h = s >> 1
+            is_right = (order & h) != 0
+            lefts = np.compress(~is_right, order)
+            j = np.compress(is_right, slots)  # the right slots
+            rights = order.take(j)
+            j -= i  # lefts sorted before each right slot, over all runs
+            r = i >> (h.bit_length() - 1)  # each right's run, of h rights each
+            at = j + r
+            j -= r * h  # lefts sorted before each right in its own run
+            np.add.at(ones, rights, j)
+            self._levels.append((h, lefts, rights, at))
+            order = np.stack((lefts.reshape(-1, h), rights.reshape(-1, h)),
+                             axis=1).ravel()
+            s = h
         self._ones = ones
 
     def ones_smaller(self) -> np.ndarray:
         """dominance_smaller for x identically one."""
-        return self._ones[:self.t].copy()
+        return self._ones[:self.t].astype(np.int64)
 
     def dominance_smaller(self, x: np.ndarray, q: int) -> np.ndarray:
         """z[i] = sum of x[j] over j < i with key[j] < key[i], in the ring
@@ -177,14 +158,15 @@ class _SplitSchedule:
         xp = np.zeros(size, dtype=np.int64)
         xp[:t] = x
         z = np.zeros(size, dtype=np.int64)
-        cx = np.zeros(size + 1, dtype=np.int64)
-        for order, left, after, start, dest in self._levels:
-            np.cumsum(np.where(left, xp.take(order), 0), out=cx[1:])
-            z[dest] += cx.take(after) - cx.take(start)
-        order = self._bottom
-        xr = xp.take(order).reshape(self._kernel.shape[:2])
-        z[order] += np.einsum("rji,rj->ri", self._kernel, xr).ravel()
-        # Each z[i] sums fewer than t reduced values, so it stays below t * q.
+        table = np.empty(size, dtype=np.int64)
+        for h, lefts, rights, at in self._levels:
+            cx = table[:size // (2 * h) * (h + 1)].reshape(-1, h + 1)
+            cx[:, 0] = 0
+            np.cumsum(xp.take(lefts).reshape(-1, h), axis=1, out=cx[:, 1:])
+            np.add.at(z, rights, table.take(at))
+        # A table entry sums at most h reduced values of one run, and each
+        # z[i] sums fewer than t reduced values over all levels, so it stays
+        # below t * q.
         return _mod(z[:t], q)
 
     def key_prefix(self, x: np.ndarray) -> np.ndarray:
@@ -194,14 +176,6 @@ class _SplitSchedule:
         s = np.empty(self.t, dtype=np.int64)
         s[order] = np.cumsum(xs) - xs
         return s
-
-
-def _partition(order, left, left_rank, half, runbase, pos_in_run):
-    """Stable partition of every aligned run into its two index halves."""
-    dest = runbase + np.where(left, left_rank, half + (pos_in_run - left_rank))
-    new_order = np.empty(len(order), dtype=np.int32)
-    new_order[dest] = order
-    return new_order
 
 
 def _tree_values(tree: CornerTree, schedule: _SplitSchedule,
@@ -252,8 +226,12 @@ def _root_values(tree: CornerTree, schedule: _SplitSchedule,
     return np.ones(schedule.t, dtype=np.int64) if x is None else x
 
 
+def _values(pi: Permutation) -> np.ndarray:
+    return np.fromiter(pi.values, dtype=np.int64, count=pi.n) - 1
+
+
 def _perm_arrays(pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(pi.zero_indexed(), dtype=np.int64)
+    p = _values(pi)
     ip = np.empty(pi.n, dtype=np.int64)
     ip[p] = np.arange(pi.n, dtype=np.int64)
     return p, ip
@@ -261,8 +239,7 @@ def _perm_arrays(pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
 
 def count_corner_tree(pi: Permutation, tree: CornerTree, bound: int) -> int:
     """Occurrences of the corner tree in pi, given that they are at most bound."""
-    p, _ = _perm_arrays(pi)
-    schedule = _SplitSchedule(p)
+    schedule = _SplitSchedule(_values(pi))
     moduli = _moduli(bound)
     return _crt([int(_root_values(tree, schedule, q).sum()) for q in moduli],
                 moduli)

@@ -290,6 +290,14 @@ def _random_permutation(rng: random.Random, n: int) -> Permutation:
     return Permutation(tuple(vals))
 
 
+_LABELS = ("NE", "NW", "SE", "SW")
+
+
+def _random_corner_tree(rng: random.Random, k: int, labels) -> trees.CornerTree:
+    return trees.CornerTree(0, tuple((rng.randrange(c), c, rng.choice(labels))
+                                     for c in range(1, k)))
+
+
 def cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
@@ -331,22 +339,24 @@ def cmd_selftest(args) -> int:
 
     ok = True
     for _ in range(25):
-        k = rng.randint(1, 4)
-        edges = tuple((rng.randrange(c), c,
-                       rng.choice(["NE", "NW", "SE", "SW"]))
-                      for c in range(1, k))
-        ct = trees.CornerTree(0, edges)
+        ct = _random_corner_tree(rng, rng.randint(1, 4), _LABELS)
         pi = _random_permutation(rng, rng.randint(1, 10))
         ok &= counting.count_corner_tree(pi, ct) == \
             counting.naive_corner_tree_count(pi, ct)
     report("corner-tree-vs-morphisms", ok)
 
     ok = True
+    for _ in range(20):
+        # Longer sequences than above, through eight to ten split levels.
+        ct = _random_corner_tree(rng, rng.randint(2, 5), _LABELS)
+        pi = _random_permutation(rng, rng.randint(129, 600))
+        ok &= counting.count_corner_tree(pi, ct) == \
+            sum(counting.corner_tree_profiles(pi, ct)[0][ct.root])
+    report("corner-tree-vs-profiles", ok)
+
+    ok = True
     for _ in range(25):
-        k = rng.randint(1, 4)
-        edges = tuple((rng.randrange(c), c, rng.choice(["NW", "SW"]))
-                      for c in range(1, k))
-        ct = trees.CornerTree(0, edges)
+        ct = _random_corner_tree(rng, rng.randint(1, 4), ("NW", "SW"))
         pi = _random_permutation(rng, rng.randint(1, 40))
         # Both counters run one engine; the online counter is independent.
         counter = counting.StreamWestCounter(ct, pi.n)

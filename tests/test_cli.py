@@ -339,7 +339,7 @@ def test_selftest_deterministic(write, capsys):
     assert main(["selftest", "--seed", "7"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert first.count(": pass") == 6
+    assert first.count(": pass") == 7
 
 
 def test_selftest_checks_the_exact_block_path(monkeypatch, capsys):
@@ -374,6 +374,18 @@ def test_selftest_failure_exits_one(monkeypatch, capsys):
                         lambda pi, ct: real(pi, ct) + 1)
     assert main(["selftest"]) == 1
     assert "corner-tree-vs-morphisms: FAIL" in capsys.readouterr().out
+
+
+def test_selftest_reaches_the_split_levels(monkeypatch, capsys):
+    # Only the corner-tree-vs-profiles line counts in sequences above 64.
+    from patterncount import _fast
+
+    real = _fast._SplitSchedule.key_prefix
+    monkeypatch.setattr(_fast._SplitSchedule, "key_prefix",
+                        lambda self, x: real(self, x) + (self.t > 64))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "corner-tree-vs-profiles: FAIL" in out and out.count("FAIL") == 1
 
 
 @pytest.mark.parametrize("sizes", [["-5", "0"], ["3", "0"]])

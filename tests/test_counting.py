@@ -27,6 +27,7 @@ from patterncount.counting import (
     naive_corner_tree_count,
     naive_morphism_count,
 )
+from patterncount.indexstructs import SumTree
 from patterncount.trees import CornerTree, snpolytree_to_ct
 from tests.test_gen3214 import structured_perms
 from tests.test_trees import random_corner_tree, random_polytree
@@ -253,6 +254,51 @@ def test_schedule_sums_match_quadratic_sums(t):
     assert schedule.ones_smaller().tolist() == ones
     assert schedule.key_prefix(xs).tolist() == \
         [sum(x[j] for j in range(t) if keys[j] < keys[i]) for i in range(t)]
+
+
+def _fenwick_smaller(keys, x):
+    """z[i] = sum of x[j] over j < i with keys[j] < keys[i], by one SumTree scan."""
+    tree, z = SumTree(len(keys)), []
+    for k, w in zip(keys, x):
+        z.append(tree.prefix(k + 1))
+        tree.add(k + 1, w)
+    return z
+
+
+def _key_prefix(keys, x):
+    before, total = [0] * len(keys), 0
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        before[i], total = total, total + x[i]
+    return before
+
+
+@pytest.mark.parametrize("t", [31, 32, 33, 63, 64, 65, 1023, 1024, 1025, 4097])
+def test_schedule_sums_match_fenwick_sums(t):
+    # Sizes at and next to powers of two, where the padding and the number
+    # of split levels change.
+    rng = random.Random(t)
+    keys = list(range(t))
+    rng.shuffle(keys)
+    schedule = _fast._SplitSchedule(np.array(keys, dtype=np.int64))
+    ones = _fenwick_smaller(keys, [1] * t)
+    assert schedule.ones_smaller().tolist() == ones
+    # The int64 ring, with values over its whole range.
+    x = [rng.randrange(-2 ** 63, 2 ** 63) for _ in range(t)]
+    xs = np.array(x, dtype=np.int64)
+
+    def wrapped(values):
+        return [v % 2 ** 64 for v in values]
+
+    assert wrapped(schedule.dominance_smaller(xs, 2 ** 64).tolist()) == \
+        wrapped(_fenwick_smaller(keys, x))
+    assert wrapped(schedule.key_prefix(xs).tolist()) == \
+        wrapped(_key_prefix(keys, x))
+    # The largest prime ring, every value at its largest reduced value q - 1.
+    q = _fast._moduli(2 ** 64)[1]
+    top = np.full(t, q - 1, dtype=np.int64)
+    assert schedule.dominance_smaller(top, q).tolist() == \
+        [c * (q - 1) % q for c in ones]
+    assert schedule.key_prefix(top).tolist() == [k * (q - 1) for k in keys]
 
 
 def test_occurrence_bound_choice():
