@@ -15,8 +15,8 @@ counting and gen3214, reorganized so numpy does the work:
   prefix sums x over earlier points and the key prefix sums x over smaller
   keys.  count_corner_tree runs it on a whole permutation.  Types A and B
   share one gated pass, over positions for type A and over values for
-  type B; it runs the engine on each block's gated point set, whose root
-  values depend only on that set.
+  type B; it builds one schedule and scans it once per block, with the
+  block's gated points, a prefix of the key order, as a 0/1 mask.
 * The box pass weighs its triples with the root values of one dangle tree
   per anchor, each from one scan of the whole permutation.  It takes one
   position block at a time: it lists the block's (four, three, one)
@@ -178,34 +178,17 @@ class _SplitSchedule:
         return s
 
 
-def _tree_values(tree: CornerTree, schedule: _SplitSchedule,
-                 q: int) -> np.ndarray | None:
-    """Placement counts of the tree with its root at each sequence point,
-    reduced; None for a single node, meaning "identically one".
-
-    Subtrees are valued children first, and each child's values are dropped
-    once its parent has used them.
-    """
-    values: dict = {}
-    for node in tree.children_first:
-        x = None
-        for child, label in tree.children(node):
-            z = _corner_sums(schedule, values.pop(child), label, q)
-            x = z if x is None else _mod(x * z, q)
-        values[node] = x
-    return values[tree.root]
-
-
 def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None, label: str,
-                 q: int) -> np.ndarray:
+                 q: int, gate: np.ndarray | None) -> np.ndarray:
     """Sum of x over the points in each point's label quadrant, reduced.
 
-    x is None for identically one.  Every quadrant comes from the one SW
-    dominance sum and the position and key prefix sums; each term below
-    sums at most t reduced values, so no int64 intermediate reaches 2^63.
+    x is None for a single node: one, or the gate (its SW sum counts earlier
+    points with smaller keys, which are gated at a gated point).  Every
+    quadrant comes from the SW dominance sum and the position and key prefix
+    sums; each term sums at most t reduced values, so it stays below 2^63.
     """
     if x is None:
-        x = np.ones(schedule.t, dtype=np.int64)
+        x = np.ones(schedule.t, dtype=np.int64) if gate is None else gate
         sw = schedule.ones_smaller()
     else:
         sw = schedule.dominance_smaller(x, q)
@@ -220,10 +203,26 @@ def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None, label: str,
     return _mod(x.sum() - x - west - south + sw, q)  # NE
 
 
-def _root_values(tree: CornerTree, schedule: _SplitSchedule,
-                 q: int) -> np.ndarray:
-    x = _tree_values(tree, schedule, q)
-    return np.ones(schedule.t, dtype=np.int64) if x is None else x
+def _root_values(tree: CornerTree, schedule: _SplitSchedule, q: int,
+                 gate: np.ndarray | None = None) -> np.ndarray:
+    """Placements of the tree rooted at each sequence point, reduced.
+
+    gate, if given, is a 0/1 mask of a prefix of the key order: placements
+    then use gated points only, and every node's values are zeroed outside
+    the gate.  Subtrees are valued children first, and each child's values
+    are dropped once its parent has used them.
+    """
+    values: dict = {}
+    for node in tree.children_first:
+        x = None
+        for child, label in tree.children(node):
+            z = _corner_sums(schedule, values.pop(child), label, q, gate)
+            x = z if x is None else _mod(x * z, q)
+        values[node] = x if x is None or gate is None else x * gate
+    x = values[tree.root]
+    if x is None:
+        return np.ones(schedule.t, dtype=np.int64) if gate is None else gate
+    return x
 
 
 def _values(pi: Permutation) -> np.ndarray:
@@ -268,20 +267,20 @@ def _gated_pass(g: np.ndarray, inv: np.ndarray, tree: CornerTree, m: int,
     the tree scan, and each candidate s = inv[v], v in the block, collects
     the root placements at gated points before it, or with own_block only
     those in its own block of scan indices.  Type A scans positions with
-    g = p; type B scans values with g = ip and own_block.
+    g = p; type B scans values with g = ip and own_block.  Each gated set is
+    a prefix of g's order, so every block scans one schedule keyed by g.
     """
     n = len(g)
+    schedule = _SplitSchedule(g)
     moduli = _moduli(bound)
     totals = [0] * len(moduli)
     for r in range(m, n, m):
-        gated = np.flatnonzero(g < r)
-        schedule = _SplitSchedule(g[gated])
+        gate = (g < r).astype(np.int64)
         cand = inv[r:min(r + m, n)]
         start = cand - cand % m if own_block else np.zeros_like(cand)
-        lo, hi = np.searchsorted(gated, start), np.searchsorted(gated, cand)
         for k, q in enumerate(moduli):
-            croots = _prefix_sums(_root_values(tree, schedule, q), q)
-            totals[k] += int(croots[hi].sum()) - int(croots[lo].sum())
+            croots = _prefix_sums(_root_values(tree, schedule, q, gate), q)
+            totals[k] += int(croots[cand].sum()) - int(croots[start].sum())
     return _crt(totals, moduli)
 
 

@@ -425,6 +425,7 @@ def cmd_bench(args) -> int:
     sizes = args.n if args.n else _BENCH_LADDERS[args.algorithm]
     if min(sizes) < 1:
         raise ParseFailure(f"--n sizes must be at least 1, got {min(sizes)}")
+    from . import _fast  # noqa: F401  (numpy loads before the first timing)
     for n in sizes:
         ms = bench_once(args.algorithm, n, args.seed)
         print(f"{n},{args.algorithm},{ms:.1f}")

@@ -18,7 +18,7 @@ grid of position and value blocks of width m, into three disjoint types:
 * the rest:     both pairs in the same block (counted with box sums).
 
 The type-A/B passes cost about (n/m) * n * log n: each value or position
-block restarts a gated scan of the points on one side of it.  The box pass
+block reruns one scan of all n points, masked to one side of it.  The box pass
 costs about n * m^2: it pairs every candidate `four` with the `three` and
 `one` candidates of its own blocks.  With m proportional to n^(1/3) the
 total work is ~n^(5/3) up to logs; default_block_size picks the constant.

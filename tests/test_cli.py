@@ -419,6 +419,23 @@ def test_roundtrip_all_types():
         assert parse_tree_spec(doc) == value
 
 
+def test_bench_imports_numpy_before_the_first_timing():
+    code = ("import sys\n"
+            "from patterncount import cli\n"
+            "timed = cli.bench_once\n"
+            "def first(*args):\n"
+            "    print('patterncount._fast' in sys.modules)\n"
+            "    cli.bench_once = timed\n"
+            "    return timed(*args)\n"
+            "cli.bench_once = first\n"
+            "cli.main(['bench', '--algorithm', 'stream', '--n', '50', '60'])\n")
+    src = str(Path(patterncount.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "True" and len(lines) == 3, out
+
+
 def test_import_does_not_load_numpy():
     code = ("import sys, patterncount, patterncount.cli; "
             "print('numpy' in sys.modules)")

@@ -382,6 +382,23 @@ def test_fast_paths_match_exact_structured_inputs():
                     count_gen_3214(pi, arbo, m, method="exact")
 
 
+@pytest.mark.parametrize("arbo", [bare_3214(), build_arbo(False), level5_arbos()[0],
+                                  build_arbo(True, (2, 4))],
+                         ids=["3214", "no-two", "3214+d1", "nested-d3"])
+def test_fast_paths_match_exact_at_every_block_size(arbo):
+    # Every m from 1 to n + 1: the first block's gate, a last partial block,
+    # one block (m = n) and none (m > n).
+    rng = random.Random(48)
+    perms = [perm(range(1, 17)), perm(range(16, 0, -1)),
+             Permutation(_layered((3, 4, 2, 5, 2))), random_perm(rng, 16),
+             random_perm(rng, 13)]
+    for pi in perms:
+        for m in range(1, pi.n + 2):
+            for fn in (count_type_a, count_type_b_not_a, count_box):
+                assert fn(pi, arbo, m) == fn(pi, arbo, m, method="exact"), \
+                    (fn.__name__, pi, m)
+
+
 def test_gen_default_block_size_rule():
     # Four times the integer cube root.  A benchmark check reruns 3214 at
     # m = 2 * round(4000^(1/3)) = 32, which must stay a different block size.
@@ -476,6 +493,31 @@ def test_ring_path_above_int64_two_primes():
     count = count_gen_3214(pi, arbo)
     assert count > 2 ** 64
     assert count == count_gen_3214(pi, arbo, method="exact")
+
+
+def test_one_schedule_per_pass(monkeypatch):
+    # Every block of a type-A/B pass, and every modulus, scans one schedule
+    # of the whole permutation; the box scans its dangle trees on one too.
+    builds = []
+
+    class Counted(_fast._SplitSchedule):
+        def __init__(self, keys):
+            builds.append(len(keys))
+            super().__init__(keys)
+
+    monkeypatch.setattr(_fast, "_SplitSchedule", Counted)
+    arbo = level5_arbos()[1]
+    dec = decompose(arbo)
+    pi = random_perm(random.Random(54), 300)
+    bound = 1 << 125
+    assert len(_fast._moduli(bound)) == 3
+    passes = [(_fast.count_type_a, dec.west_tree, count_type_a),
+              (_fast.count_type_b_not_a, dec.inv_west_tree, count_type_b_not_a),
+              (_fast.count_box, dec, count_box)]
+    for fast, tree, exact in passes:
+        builds.clear()
+        assert fast(pi, tree, 7, bound) == exact(pi, arbo, 7, method="exact")
+        assert builds == [300], fast.__name__
 
 
 def _counting_batches(monkeypatch):
