@@ -22,11 +22,11 @@ counting and gen3214, reorganized so numpy does the work:
 * The box pass weighs its triples with the root values of one dangle tree
   per anchor, each from one scan of the whole permutation.  It takes one
   position block at a time: it lists the block's (four, three, one)
-  candidate triples as flat arrays, reads the in-block terms from one
-  cumulative table per block and the west-of-block terms from a prefix
-  array over values.  The one term with both corners west of the block
-  reads a grid onto which the points west of the block are bucketed once,
-  and _dominance_batch answers the block's queries off it in batches.
+  candidate triples as flat arrays, in steps.  The north-east corner of a
+  triple's box splits at the block's west edge and reads one cumulative
+  table per block and a prefix array over values.  Its south-west corner
+  reads a grid onto which the points before the block's end are bucketed
+  once, and _dominance_batch answers each step's reads off it.
 
 Counts live in ring arithmetic, so they are exact on every input.  Only
 positions and values are ever compared; a count only meets +, -, * and
@@ -319,13 +319,13 @@ def _gated_pass(scan: np.ndarray, tree: CornerTree, m: int, bound: int,
 def count_box(pi: Permutation, dec, m: int, bound: int) -> int:
     """The box count, given that it is at most bound."""
     p, ip = _perm_arrays(pi)
+    m = min(m, pi.n)  # every m >= n makes one block
     full = _SplitSchedule(p)
     moduli = _moduli(bound)
     return _crt([_box(p, ip, full, dec, m, q) for q in moduli], moduli)
 
 
-_BOX_STEP = 1 << 13   # triples per vectorized step of the box pass
-_BOX_BATCH = 1 << 16  # deferred queries per _dominance_batch call, at most
+_BOX_STEP = 1 << 13  # triples per vectorized step of the box pass
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -388,13 +388,12 @@ def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
         b2 = F(x3 - 1, y1 - 1) - g3[x1] - g3[x3] + F(x1, y3),
 
     where g3 = full.dominance_smaller(w2) is F just south-west of a point.
-    Each F splits at the block's west edge: the west part reads a prefix
-    array over values, the in-block part the block's cumulative table.
-    F(x1, y3) with x1 west of the block reads the block's west grid
-    (_west_grid), built once for all of the block's _dominance_batch calls,
-    which come once per block or per _BOX_BATCH queries.  A grid that would
-    exceed _GRID_CELLS takes the block's rows in groups, and each group
-    lists only the triples whose y3 is on its rows.
+    F(x3 - 1, y1 - 1) splits at the block's west edge into a prefix array
+    over values and the block's cumulative table.  F(x1, y3) reads the
+    block's grid (_west_grid), which covers every candidate x1 before the
+    block's end; each step of triples makes one _dominance_batch call on it.
+    A grid that would exceed _GRID_CELLS takes the block's rows in groups,
+    and each group lists only the triples whose y3 is on its rows.
     """
     n = len(p)
     d3 = _root_values(dec.dangle3_tree, full, q, n)
@@ -420,42 +419,26 @@ def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
         rank = below[p[col:end]]
         table = _block_table(rank, w2[col:end], q)
         col_of, ncols = _west_columns(p, ip, col, end, m)
-        rows = below[p[:col]]
+        rows = below[p[:end]]
         group = max(1, _GRID_CELLS // max(ncols, 1))
         for r0 in range(0, end - col, group):
             r1 = min(r0 + group, end - col)
             grid = _west_grid(w2, rows, col_of, ncols, r0, r1, q)
             keep3 = (d3[col:end] != 0) & (rank >= r0) & (rank < r1)
-            deferred, pending = [], 0
             for xs3, ys1, xs1 in _block_triples(p, ip, keep3, col, end, m):
                 coef = _mod(d3[xs3] * d1[xs1], q)
-                ys3 = p[xs3]
                 at3 = xs3 - col
-                b2 = (west[ys1] + table[at3, below[ys1]]
-                      - g3[xs1] - g3[xs3])
-                inb = xs1 >= col
-                b2[inb] += (west[ys3[inb] + 1]
-                            + table[xs1[inb] - col + 1, rank[at3[inb]] + 1])
-                # b2 sums six reduced terms, so it lies in (-2q, 4q) before
+                b2 = west[ys1] + table[at3, below[ys1]] - g3[xs1] - g3[xs3]
+                # b2 sums four reduced terms, so it lies in (-2q, 2q) before
                 # its reduction; coef * b2 stays below q^2 < 2^62, and a step
                 # sums fewer than _BOX_STEP + m reduced products.
                 total += int(_mod(coef * _mod(b2, q), q).sum())
-                out = ~inb
-                deferred.append((xs1[out], rank[at3[out]] - r0, coef[out]))
-                pending += len(deferred[-1][0])
-                if pending >= _BOX_BATCH:
-                    total += _dominance_batch(grid, col_of, *_joined(deferred), q)
-                    deferred, pending = [], 0
-            if pending:
-                total += _dominance_batch(grid, col_of, *_joined(deferred), q)
+                total += _dominance_batch(grid, col_of, xs1, rank[at3] - r0,
+                                          coef, q)
     return total
 
 
-def _joined(parts: list) -> list[np.ndarray]:
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
-_GRID_CELLS = 1 << 20  # cells of one west grid, at most, unless a row exceeds it
+_GRID_CELLS = 1 << 20  # cells of one grid, at most, unless a row exceeds it
 
 
 def _count_below(coords: np.ndarray, size: int) -> np.ndarray:
@@ -467,13 +450,13 @@ def _count_below(coords: np.ndarray, size: int) -> np.ndarray:
 
 def _west_columns(p: np.ndarray, ip: np.ndarray, col: int, end: int,
                   m: int) -> tuple[np.ndarray, int]:
-    """The west grid's columns for the position block [col, end).
+    """The grid's columns for the position block [col, end).
 
-    The columns are the points x1 = ip[y1] west of the block whose value y1
-    lies below the block's highest y4 in y1's value block: every x1 of a
-    box triple of the block is one.  Returns their number and col_of, where
-    col_of[x] for x < col counts the columns west of x, so it is the index
-    of column x and of the first column at or east of any point x.
+    The columns are the points x1 = ip[y1] before the block's end whose
+    value y1 lies below the block's highest y4 in y1's value block: every
+    x1 of a box triple of the block is one.  Returns their number and
+    col_of, where col_of[x] for x < end counts the columns west of x, so it
+    is the index of column x and of the first column at or east of point x.
     """
     y4 = p[col:end]
     top = np.zeros(-(-len(p) // m), dtype=np.int64)  # highest y4 per block
@@ -482,20 +465,21 @@ def _west_columns(p: np.ndarray, ip: np.ndarray, col: int, end: int,
     lo = hit * m
     cnt = top[hit] - lo
     x1 = ip[np.repeat(lo, cnt) + _ranges(cnt)]
-    x1 = x1[x1 < col]
-    return _count_below(x1, col), len(x1)
+    x1 = x1[x1 < end]
+    return _count_below(x1, end), len(x1)
 
 
 def _west_grid(w2: np.ndarray, rows: np.ndarray, col_of: np.ndarray,
                ncols: int, r0: int, r1: int, q: int) -> np.ndarray:
-    """2-D prefix sums of w2 over the points west of a block, reduced.
+    """2-D prefix sums of w2 over the points before a block's end, reduced.
 
-    rows[x] counts the block values below point x's value.  A point lands on
-    the first column at or east of it and on row max(rows[x] - r0, 0) of the
-    block rows [r0, r1); a point east of every column or with rows[x] >= r1
-    never counts.  Cell (c, k) then sums w2 over the points at or west of
-    column c whose value is at most the block's value of rank r0 + k, that
-    is F(column c, that value) for every column and every row of the group.
+    rows[x] counts the block values below point x's value, so that value is
+    at most the block's value of rank k exactly when rows[x] <= k.  A point
+    lands on the first column at or east of it and on row
+    max(rows[x] - r0, 0) of the block rows [r0, r1); a point east of every
+    column or with rows[x] >= r1 never counts.  Cell (c, k) then sums w2
+    over the points at or west of column c whose value is at most the
+    block's value of rank r0 + k, that is F(column c, that value).
     """
     nrows = r1 - r0
     keep = (col_of < ncols) & (rows < r1)
@@ -515,8 +499,8 @@ def _west_grid(w2: np.ndarray, rows: np.ndarray, col_of: np.ndarray,
 def _dominance_batch(grid: np.ndarray, col_of: np.ndarray, qx: np.ndarray,
                      qk: np.ndarray, qc: np.ndarray, q: int) -> int:
     """Sum of qc * F(qx, the block value of grid row qk) in the ring of
-    modulus q, each F read off the block's west grid (_west_grid) at column
-    col_of[qx] and row qk.
+    modulus q, each F read off the block's grid (_west_grid) at column
+    col_of[qx] and row qk; qx may lie in the block or west of it.
     """
     f = grid.reshape(-1).take(col_of[qx] * grid.shape[1] + qk)
     return int(_mod(qc * f, q).sum())

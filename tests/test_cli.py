@@ -94,10 +94,12 @@ def test_count_block_size_bounds(write, capsys):
         assert main(["count", "--perm", perm_file, "--tree", tree_file,
                      "--block-size", bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-    # A block larger than the permutation is one block: everything is box.
-    assert main(["count", "--perm", perm_file, "--tree", tree_file,
-                 "--block-size", "9"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
+    # A block larger than the permutation is one block: everything is box,
+    # also for a block size that no int64 holds.
+    for big in ("9", str(2 ** 63)):
+        assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                     "--block-size", big]) == 0
+        assert capsys.readouterr().out.strip() == "2"
 
 
 def test_count_stream_requires_west_labels(write):

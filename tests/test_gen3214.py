@@ -399,6 +399,16 @@ def test_fast_paths_match_exact_at_every_block_size(arbo):
                     (fn.__name__, pi, m)
 
 
+def test_block_size_past_int64_is_one_block():
+    # Every m >= n makes one block, also an m that no int64 holds.
+    pi = perm([4, 3, 2, 1, 5, 6])
+    for arbo in (bare_3214(), build_arbo(False)):
+        for method in ("auto", "exact"):
+            assert count_gen_3214(pi, arbo, 2 ** 63, method) == \
+                count_gen_3214(pi, arbo, pi.n, method), (arbo, method)
+    assert count_gen_3214(pi, bare_3214(), 2 ** 63) == 8
+
+
 def test_gen_default_block_size_rule():
     # Three times the integer cube root.  A benchmark check reruns 3214 at
     # m = 2 * round(4000^(1/3)) = 32, which must stay a different block size.
@@ -604,17 +614,16 @@ def _counting_batches(monkeypatch):
 @pytest.mark.parametrize("arbo", [bare_3214(), level5_arbos()[1], level5_arbos()[2]],
                          ids=["3214", "3214+d2", "3214+d3"])
 def test_box_steps_match_exact(arbo, monkeypatch):
-    # n = 600, m = 40: 15 blocks and about 50 000 deferred F(x1, y3) queries
-    # (up to about 7000 from one block).  Steps of 2^8 triples and batches
-    # of 2^10 queries split each block into many steps and several batches.
+    # n = 600, m = 40: 15 blocks and about 52 000 F(x1, y3) grid reads.
+    # Steps of 2^8 triples split them into over 400 steps, and each step
+    # reads its block's grid once, for all of its triples.
     monkeypatch.setattr(_fast, "_BOX_STEP", 1 << 8)
-    monkeypatch.setattr(_fast, "_BOX_BATCH", 1 << 10)
     sizes = _counting_batches(monkeypatch)
     pi = random_perm(random.Random(52), 600)
     assert count_box(pi, arbo, 40, method="fast") == \
         count_box(pi, arbo, 40, method="exact")
     assert len(sizes) > 3 * 15 and sum(sizes) > 40_000
-    assert max(sizes) < (1 << 10) + (1 << 8) + 40
+    assert max(sizes) < (1 << 8) + 40
 
 
 def test_box_grid_split_matches_exact(monkeypatch):
