@@ -30,7 +30,9 @@ from .trees import (
     snpolytree_to_dp,
 )
 from .counting import (
+    Inapplicable,
     StreamWestCounter,
+    count,
     count_all_west,
     count_corner_tree,
     naive_morphism_count,

@@ -15,8 +15,8 @@ Permutations are ASCII integers separated by whitespace, one-line notation,
    "anchors": {"one": i, "two": j-or-null, "three": k, "four": l}}
 
 The anchors of an arbo_ne document must be the ones its double poset
-determines.  count decides its algorithm from the double poset of any
-document: family members count by block, whatever their type field says.
+determines.  count leaves the algorithm to counting.count, which decides it
+from the double poset: members count by block, whatever their type says.
 
 Exit codes: 0 success, 1 self-test failure, 2 parse/validation failure,
 3 inapplicable algorithm or size cap.
@@ -32,26 +32,16 @@ import sys
 import time
 
 from . import algebra, counting, gen3214, trees
-from .core import (
-    DoublePoset,
-    InvalidInput,
-    Permutation,
-    classify,
-    double_poset,
-)
+from .core import (DoublePoset, InvalidInput, Permutation, classify,
+                   double_poset)
+from .counting import Inapplicable
 
 EXIT_SELFTEST = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
 
-log = logging.getLogger("patterncount.cli")
-
 
 class ParseFailure(ValueError):
-    pass
-
-
-class Inapplicable(ValueError):
     pass
 
 
@@ -167,83 +157,26 @@ def read_tree_file(path: str):
 
 # ------------------------------------------------------------ commands
 
-def _as_double_poset(value) -> DoublePoset:
-    if isinstance(value, DoublePoset):
-        return value
-    if isinstance(value, gen3214.ArboNE):
-        return value.dp
-    if isinstance(value, trees.CornerTree):
-        value = trees.ct_to_snpolytree(value)
-    if isinstance(value, trees.SNPolytree):
-        return trees.snpolytree_to_dp(value)
-    raise Inapplicable(f"cannot interpret {type(value).__name__} as a double poset")
-
-
-def _resolve(value, requested: str):
-    """The algorithm that counts value under --algorithm requested, and its
-    operand, both decided from value's double poset.
-
-    A family member goes to block, a twin tree to general or stream (the
-    tree rooted at its west maximum, the only all-west rooting), anything
-    else to naive; auto picks the first that applies.
-    """
-    d = _as_double_poset(value)
-    try:
-        arbo = gen3214.validate_arbo(d)
-    except gen3214.ArboValidationError:
-        arbo = None
-    twin_tree = classify(d).is_twin_tree
-    if requested == "auto":
-        requested = "block" if arbo else "general" if twin_tree else "naive"
-        if requested == "naive":
-            log.warning("falling back to naive morphism counting for a "
-                        "general double poset")
-    if requested == "naive":
-        return requested, d
-    if requested == "block":
-        if arbo is None:
-            raise Inapplicable("the block algorithm needs a family member")
-        return requested, arbo
-    if not twin_tree:
-        raise Inapplicable(f"the {requested} algorithm needs a twin tree")
-    root = next((v for v in range(d.n)
-                 if d.west.below[v].bit_count() == d.n - 1), 0)
-    ct = trees.snpolytree_to_ct(trees.dp_to_snpolytree(d), root)
-    if requested == "stream" and not ct.labels() <= {"NW", "SW"}:
-        raise Inapplicable("no rooting of this tree uses only west labels")
-    return requested, ct
-
-
 def cmd_count(args) -> int:
     if args.block_size is not None and args.block_size < 1:
         raise ParseFailure(
             f"--block-size must be at least 1, got {args.block_size}")
     pi = read_permutation(args.perm)
-    algorithm, operand = _resolve(read_tree_file(args.tree), args.algorithm)
-    report = {}
+    tree = read_tree_file(args.tree)
     t0 = time.perf_counter()
-    if algorithm == "block":
-        m = args.block_size or gen3214.default_block_size(pi.n)
-        report["block_size"] = m
-        count = gen3214.count_gen_3214(pi, operand, m)
-    elif algorithm == "general":
-        count = counting.count_corner_tree(pi, operand)
-    elif algorithm == "stream":
-        count = counting.count_all_west(pi, operand)
-    else:  # naive
-        count = counting.naive_morphism_count(operand, pi)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    result = counting.count(tree, pi, args.algorithm, args.block_size)
+    ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
-        print(json.dumps({"count": count, "algorithm": algorithm, "n": pi.n,
-                          **report, "elapsed_ms": round(elapsed_ms, 3)}))
+        doc = {"count": result.count, "algorithm": result.algorithm, "n": pi.n,
+               "block_size": result.block_size, "elapsed_ms": round(ms, 3)}
+        print(json.dumps({k: v for k, v in doc.items() if v is not None}))
     else:
-        print(count)
+        print(result.count)
     return 0
 
 
 def cmd_pattern_vector(args) -> int:
-    value = read_tree_file(args.tree)
-    d = _as_double_poset(value)
+    d = counting.as_double_poset(read_tree_file(args.tree))
     vec = algebra.pattern_vector(d)
     out = {" ".join(map(str, p.values)): c for p, c in vec.items()}
     print(json.dumps(out))
@@ -267,20 +200,15 @@ def cmd_rank(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    d = _as_double_poset(read_tree_file(args.tree))
-    try:
-        gen3214.validate_arbo(d)
-        arbo_state = "valid"
-    except gen3214.ArboValidationError:
-        arbo_state = None
+    d = counting.as_double_poset(read_tree_file(args.tree))
     flags = classify(d)
     print(f"elements: {d.n}")
     print(f"twin: {str(flags.is_twin).lower()}")
     print(f"tree: {str(flags.is_tree).lower()}")
     print(f"twin_tree: {str(flags.is_twin_tree).lower()}")
     print(f"permutation: {str(flags.is_permutation).lower()}")
-    if arbo_state:
-        print(f"arbo_ne: {arbo_state}")
+    if gen3214.family_member(d):
+        print("arbo_ne: valid")
     return 0
 
 
@@ -397,32 +325,25 @@ def cmd_selftest(args) -> int:
     return EXIT_SELFTEST if failures else 0
 
 
-_BENCH_LADDERS = {
-    "stream": (100_000, 200_000, 400_000),
-    "general": (100_000, 200_000, 400_000),
-    "block": (20_000, 40_000, 80_000),
+_SW_CHAIN = trees.CornerTree(0, ((0, 1, "SW"), (1, 2, "SW")))
+# Each algorithm's benchmark: the object it counts and the default sizes.
+_BENCH = {
+    "stream": (_SW_CHAIN, (100_000, 200_000, 400_000)),
+    "general": (_SW_CHAIN, (100_000, 200_000, 400_000)),
+    "block": (gen3214.bare_3214(), (20_000, 40_000, 80_000)),
 }
 
 
 def bench_once(algorithm: str, n: int, seed: int) -> float:
-    """One timed run; returns elapsed milliseconds."""
-    rng = random.Random(seed)
-    pi = _random_permutation(rng, n)
-    chain = trees.CornerTree(0, ((0, 1, "SW"), (1, 2, "SW")))
+    """Milliseconds of one counting.count call, its decision included."""
+    pi = _random_permutation(random.Random(seed), n)
     t0 = time.perf_counter()
-    if algorithm == "stream":
-        counting.count_all_west(pi, chain)
-    elif algorithm == "general":
-        counting.count_corner_tree(pi, chain)
-    elif algorithm == "block":
-        gen3214.count_gen_3214(pi, gen3214.bare_3214())
-    else:
-        raise Inapplicable(f"no benchmark for algorithm {algorithm!r}")
+    counting.count(_BENCH[algorithm][0], pi, algorithm)
     return (time.perf_counter() - t0) * 1000.0
 
 
 def cmd_bench(args) -> int:
-    sizes = args.n if args.n else _BENCH_LADDERS[args.algorithm]
+    sizes = args.n if args.n else _BENCH[args.algorithm][1]
     if min(sizes) < 1:
         raise ParseFailure(f"--n sizes must be at least 1, got {min(sizes)}")
     from . import _fast  # noqa: F401  (numpy loads before the first timing)
@@ -444,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count occurrences / morphisms")
     p.add_argument("--perm", required=True)
     p.add_argument("--tree", required=True)
-    p.add_argument("--algorithm", default="auto",
-                   choices=["auto", "general", "stream", "block", "naive"])
+    p.add_argument("--algorithm", default="auto", choices=counting.ALGORITHMS)
     p.add_argument("--block-size", type=int, default=None,
                    help="block width m of the block algorithm (default "
                         "3 * floor(n^(1/3)), default_block_size(n))")
@@ -471,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("bench", help="emit CSV timing rows")
-    p.add_argument("--algorithm", default="stream",
-                   choices=["stream", "general", "block"])
+    p.add_argument("--algorithm", default="stream", choices=list(_BENCH))
     p.add_argument("--n", type=int, nargs="*", default=None)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_bench)

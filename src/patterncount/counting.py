@@ -1,4 +1,9 @@
-"""Occurrence counting for corner trees on permutations.
+"""Occurrence counting: the front door count, and the corner-tree counters.
+
+count(obj, pi) decides the algorithm from obj's double poset: block
+(gen3214) for a 3214-family member, general for a twin tree, and otherwise
+naive_morphism_count, the oracle for any double poset, which counts the
+maps that core._iter_morphisms, the package's one morphism search, yields.
 
 count_corner_tree and count_all_west run one offline scan engine (_fast),
 which serves every corner label from a single south-west dominance sum
@@ -13,20 +18,22 @@ Two pure-Python paths stay beside it.  corner_tree_profiles runs one
 Fenwick scan per edge, children first: insert the child's profile value
 at the point's value index, then read a strict prefix (S labels) or
 strict suffix (N labels) sum, scanning ascending positions for W labels
-and descending ones for E labels; it is the oracle.  StreamWestCounter is the online
-counter for trees whose labels are all W (NW/SW): points arrive in
-increasing position and each returns its root placements at once, which
-the block decomposition's reference passes in gen3214 use.
-
-naive_morphism_count, the oracle for any double poset, counts the maps
-that core._iter_morphisms, the package's one morphism search, yields.
+and descending ones for E labels; it is the oracle.  StreamWestCounter,
+the online counter for all-W (NW/SW) trees, serves gen3214's reference
+passes: points arrive in increasing position and each returns its root
+placements at once.
 """
-
 from __future__ import annotations
 
-from .core import DoublePoset, Permutation, _iter_morphisms, morphism_bound
+from dataclasses import dataclass
+
+from .core import (DoublePoset, Permutation, _iter_morphisms, classify,
+                   morphism_bound)
 from .indexstructs import SumTree
-from .trees import CornerTree, ct_to_snpolytree, snpolytree_to_dp
+from .trees import (CornerTree, SNPolytree, ct_to_snpolytree,
+                    dp_to_snpolytree, snpolytree_to_ct, snpolytree_to_dp)
+
+ALGORITHMS = ("auto", "general", "stream", "block", "naive")
 
 
 class NotWestTree(ValueError):
@@ -39,6 +46,74 @@ class OrderViolation(ValueError):
 
 class BudgetExceeded(ValueError):
     pass
+
+
+class Inapplicable(ValueError):
+    """The requested algorithm does not count this double poset."""
+
+
+@dataclass(frozen=True)
+class CountResult:
+    """The count, the algorithm that ran, and m if that was block."""
+
+    count: int
+    algorithm: str
+    block_size: int | None = None
+
+
+def as_double_poset(obj) -> DoublePoset:
+    """The double poset of a CornerTree, SNPolytree, ArboNE or DoublePoset."""
+    if isinstance(obj, CornerTree):
+        obj = ct_to_snpolytree(obj)
+    if isinstance(obj, SNPolytree):
+        return snpolytree_to_dp(obj)
+    if isinstance(obj, DoublePoset):
+        return obj
+    from . import gen3214
+
+    if isinstance(obj, gen3214.ArboNE):
+        return obj.dp
+    raise TypeError(f"cannot interpret {type(obj).__name__} as a double poset")
+
+
+def count(obj, pi: Permutation, algorithm: str = "auto",
+          block_size: int | None = None) -> CountResult:
+    """Count obj (a CornerTree, SNPolytree, ArboNE or DoublePoset) in pi.
+
+    auto picks block for a family member (m = block_size, default
+    gen3214.default_block_size(n)), general for a twin tree (rooted at its
+    west maximum), otherwise naive with a logged warning.  A named algorithm
+    that does not apply raises Inapplicable; stream needs only west labels.
+    """
+    from . import gen3214
+
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    d = as_double_poset(obj)
+    arbo = gen3214.family_member(d)
+    twin_tree = classify(d).is_twin_tree
+    if algorithm == "auto":
+        algorithm = "block" if arbo else "general" if twin_tree else "naive"
+        if algorithm == "naive":
+            import logging  # here only: it adds 0.4 MB to every process
+            logging.getLogger(__name__).warning(
+                "falling back to naive morphism counting for a general double poset")
+    if algorithm == "naive":
+        return CountResult(naive_morphism_count(d, pi), algorithm)
+    if algorithm == "block":
+        if arbo is None:
+            raise Inapplicable("the block algorithm needs a family member")
+        m = gen3214.default_block_size(pi.n) if block_size is None else block_size
+        return CountResult(gen3214.count_gen_3214(pi, arbo, m), algorithm, m)
+    if not twin_tree:
+        raise Inapplicable(f"the {algorithm} algorithm needs a twin tree")
+    # A twin tree has at most one west maximum, the only all-west rooting.
+    root = next((v for v in range(d.n)
+                 if d.west.below[v].bit_count() == d.n - 1), 0)
+    ct = snpolytree_to_ct(dp_to_snpolytree(d), root)
+    if algorithm == "stream" and not ct.labels() <= {"NW", "SW"}:
+        raise Inapplicable("no rooting of this tree uses only west labels")
+    return CountResult(_count(pi, ct, d), algorithm)
 
 
 def corner_tree_profiles(pi: Permutation, ct: CornerTree):
@@ -72,16 +147,16 @@ def corner_tree_profiles(pi: Permutation, ct: CornerTree):
 
 def count_corner_tree(pi: Permutation, ct: CornerTree) -> int:
     """Number of occurrences of the corner tree in pi, in O(n log n) per edge."""
-    return _count(pi, ct)
+    return _count(pi, ct, as_double_poset(ct))
 
 
-def _count(pi: Permutation, ct: CornerTree) -> int:
+def _count(pi: Permutation, ct: CornerTree, d: DoublePoset) -> int:
+    """The scan engine's count of ct, whose double poset is d."""
     if pi.n == 0:
         return 0
     from . import _fast
 
-    return _fast.count_corner_tree(
-        pi, ct, morphism_bound(corner_tree_to_dp(ct), pi.n))
+    return _fast.count_corner_tree(pi, ct, morphism_bound(d, pi.n))
 
 
 class StreamWestCounter:
@@ -131,7 +206,7 @@ def _require_west(tree: CornerTree) -> None:
 def count_all_west(pi: Permutation, tree: CornerTree) -> int:
     """Occurrences of an all-West tree; raises NotWestTree for any other."""
     _require_west(tree)
-    return _count(pi, tree)
+    return _count(pi, tree, as_double_poset(tree))
 
 
 _MORPHISM_BUDGET = 10**9
@@ -153,11 +228,6 @@ def count_morphisms_into_perm(d: DoublePoset, pi: Permutation) -> int:
     return sum(1 for _ in _iter_morphisms(d, pi))
 
 
-def corner_tree_to_dp(ct: CornerTree) -> DoublePoset:
-    """The twin tree double poset whose morphisms are the tree's occurrences."""
-    return snpolytree_to_dp(ct_to_snpolytree(ct))
-
-
 def naive_corner_tree_count(pi: Permutation, ct: CornerTree) -> int:
     """Oracle: occurrences as morphisms of the associated double poset."""
-    return naive_morphism_count(corner_tree_to_dp(ct), pi)
+    return naive_morphism_count(as_double_poset(ct), pi)

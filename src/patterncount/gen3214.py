@@ -126,6 +126,14 @@ def validate_arbo(dp: DoublePoset) -> ArboNE:
                   three, four)
 
 
+def family_member(dp: DoublePoset) -> ArboNE | None:
+    """dp as a family member, or None where validate_arbo rejects it."""
+    try:
+        return validate_arbo(dp)
+    except ArboValidationError:
+        return None
+
+
 def _maximum(below, among: int) -> int | None:
     """The element of the bitmask `among` above all its other elements, by
     the masks below[v] of the elements below v; None if there is none."""

@@ -19,8 +19,8 @@ from patterncount.core import (
     perm,
 )
 from patterncount.counting import (
+    as_double_poset,
     corner_tree_profiles,
-    corner_tree_to_dp,
     count_corner_tree,
     naive_morphism_count,
 )
@@ -98,7 +98,7 @@ def test_criterion_2_pattern_vector_constants():
     def strings(vec):
         return {"".join(map(str, p.values)): c for p, c in vec.items()}
 
-    ok = strings(pattern_vector(corner_tree_to_dp(
+    ok = strings(pattern_vector(as_double_poset(
         CornerTree(0, ((0, 1, "NE"), (0, 2, "NE")))))) == \
         {"12": 1, "123": 2, "132": 2}
 
@@ -150,7 +150,7 @@ def test_criterion_4a_corner_tree_oracle():
         ct = CornerTree(0, edges)
         pi = random_perm(rng, rng.randint(1, 12))
         ok &= count_corner_tree(pi, ct) == \
-            naive_morphism_count(corner_tree_to_dp(ct), pi)
+            naive_morphism_count(as_double_poset(ct), pi)
     report("4a (corner tree vs morphism oracle, 300 cases)", ok)
 
 

@@ -18,7 +18,7 @@ from patterncount.core import (
     perm,
     perm_to_dp,
 )
-from patterncount.counting import count_morphisms_into_perm, corner_tree_to_dp
+from patterncount.counting import as_double_poset, count_morphisms_into_perm
 from patterncount.trees import CornerTree, TooLarge
 from patterncount.algebra import (
     MorphismClassCounts,
@@ -250,7 +250,7 @@ def test_pattern_vector_matches_epi_searches_on_rank_family():
 
 
 def test_cherry_vector():
-    cherry = corner_tree_to_dp(CornerTree(0, ((0, 1, "NE"), (0, 2, "NE"))))
+    cherry = as_double_poset(CornerTree(0, ((0, 1, "NE"), (0, 2, "NE"))))
     assert as_strings(pattern_vector(cherry)) == {"12": 1, "123": 2, "132": 2}
 
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import logging
 import random
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patterncount import _fast
+from patterncount import _fast, counting, trees
+from patterncount.cli import main as cli_main, parse_tree_spec, tree_spec_to_dict
 
 from patterncount.core import (
     Permutation,
@@ -17,18 +20,23 @@ from patterncount.core import (
 )
 from patterncount.counting import (
     BudgetExceeded,
+    CountResult,
+    Inapplicable,
     NotWestTree,
     OrderViolation,
     StreamWestCounter,
+    as_double_poset,
     corner_tree_profiles,
-    corner_tree_to_dp,
+    count,
     count_all_west,
     count_corner_tree,
     naive_corner_tree_count,
     naive_morphism_count,
 )
+from patterncount.gen3214 import bare_3214, build_arbo, default_block_size
 from patterncount.indexstructs import SumTree
 from patterncount.trees import CornerTree, snpolytree_to_ct
+from tests.test_cli import SE_TREE
 from tests.test_gen3214 import structured_perms
 from tests.test_trees import random_corner_tree, random_polytree
 
@@ -49,7 +57,7 @@ def random_west_tree(rng, max_nodes=5) -> CornerTree:
 
 
 def occurrence_bound(ct: CornerTree, n: int) -> int:
-    return morphism_bound(corner_tree_to_dp(ct), n)
+    return morphism_bound(as_double_poset(ct), n)
 
 
 SE_NE_NW_TREE = CornerTree("r", (
@@ -102,7 +110,7 @@ def test_corner_tree_equals_morphism_count():
         ct = random_corner_tree(rng, max_nodes=5)
         pi = random_perm(rng, rng.randint(1, 12))
         assert count_corner_tree(pi, ct) == \
-            naive_morphism_count(corner_tree_to_dp(ct), pi)
+            naive_morphism_count(as_double_poset(ct), pi)
 
 
 def test_morphisms_of_permutation_dp_are_pattern_occurrences():
@@ -370,3 +378,126 @@ def test_deep_trees_walk_without_recursion():
     counter = StreamWestCounter(_path(["SW"] * 1199), pi.n)
     assert [counter.process(x, y) for x, y in enumerate(pi.zero_indexed())] \
         == [0] * 5
+
+
+# ------------------------------------------------------ the front door
+
+_WEST_EDGE = {"type": "corner_tree", "root": 0, "nodes": [0, 1],
+              "edges": [[0, 1, "SW"]]}
+_WEST_CHAIN = {"type": "sn_polytree", "nodes": [0, 1, 2],
+               "edges": [[2, 1, "S"], [1, 0, "N"]]}
+# Opposite vertical labels: no rooting of this cherry is all west.
+_MIXED_CHERRY = {"type": "sn_polytree", "nodes": [0, 1, 2],
+                 "edges": [[0, 1, "S"], [2, 1, "N"]]}
+_NAIVE_DP = {"type": "double_poset", "n": 2, "west": [[0, 1]], "south": []}
+
+
+def _member_docs():
+    arbo = build_arbo(True, (1,))
+    plain = dict(tree_spec_to_dict(arbo), type="double_poset")
+    del plain["anchors"]
+    return tree_spec_to_dict(arbo), plain
+
+
+def _front_door_cases():
+    """(document, permutation, --algorithm, --block-size) for every document
+    that tests/test_cli.py counts."""
+    bare = tree_spec_to_dict(bare_3214())
+    member, plain = _member_docs()
+    values = list(range(1, 1001))
+    random.Random(5).shuffle(values)
+    deep = tree_spec_to_dict(_path((["NW", "SE"] * 600)[:1199]))
+    return [
+        (SE_TREE, [2, 3, 1, 5, 4, 6], "general", None),
+        (SE_TREE, [2, 3, 1, 5, 4, 6], "auto", None),
+        (bare, [4, 3, 2, 1, 5], "block", None),
+        (bare, [4, 3, 2, 1, 5], "block", 2),
+        (bare, [4, 3, 2, 1, 5], "auto", None),
+        (bare, [3, 2, 1, 4, 5], "auto", 9),
+        (bare, [3, 2, 1, 4, 5], "auto", 2 ** 63),
+        (_WEST_EDGE, [2, 1, 3], "stream", None),
+        (_WEST_CHAIN, [2, 1, 3], "stream", None),
+        (_WEST_CHAIN, [2, 1, 3], "general", None),
+        (member, values, "auto", None),
+        (plain, values, "auto", None),
+        (plain, values, "block", None),
+        (_NAIVE_DP, [2, 1, 3], "auto", None),
+        (deep, [3, 1, 2, 5, 4], "auto", None),
+    ]
+
+
+def test_front_door_matches_the_cli(tmp_path, capsys):
+    for i, (doc, values, algorithm, m) in enumerate(_front_door_cases()):
+        perm_file, tree_file = tmp_path / f"p{i}.txt", tmp_path / f"t{i}.json"
+        perm_file.write_text(" ".join(map(str, values)))
+        tree_file.write_text(json.dumps(doc))
+        argv = ["count", "--perm", str(perm_file), "--tree", str(tree_file),
+                "--algorithm", algorithm, "--json"]
+        assert cli_main(argv + (["--block-size", str(m)] if m else [])) == 0
+        printed = json.loads(capsys.readouterr().out)
+        result = count(parse_tree_spec(doc), perm(values), algorithm, m)
+        assert (result.count, result.algorithm) == \
+            (printed["count"], printed["algorithm"]), (i, doc["type"])
+        assert result.block_size == printed.get("block_size"), i
+
+
+def test_front_door_inapplicable(tmp_path):
+    pi = perm([2, 3, 1, 5, 4, 6])
+    with pytest.raises(Inapplicable, match="family member"):
+        count(parse_tree_spec(SE_TREE), pi, "block")
+    cherry = parse_tree_spec(_MIXED_CHERRY)
+    with pytest.raises(Inapplicable, match="west labels"):
+        count(cherry, pi, "stream")
+    assert count(cherry, pi, "general").count == count(cherry, pi).count
+    with pytest.raises(Inapplicable, match="twin tree"):
+        count(parse_tree_spec(_NAIVE_DP), pi, "general")
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        count(cherry, pi, "fast")
+    with pytest.raises(TypeError):
+        count(pi, pi)
+
+
+def test_front_door_logs_the_naive_fallback(caplog):
+    d = parse_tree_spec(_NAIVE_DP)
+    with caplog.at_level(logging.WARNING, logger="patterncount"):
+        assert count(d, perm([2, 1, 3])) == CountResult(3, "naive")
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "naive" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="patterncount"):
+        count(d, perm([2, 1, 3]), "naive")
+        count(SE_NE_NW_TREE, perm([2, 1, 3]))
+    assert caplog.records == []
+
+
+def test_front_door_block_size():
+    pi = random_perm(random.Random(40), 60)
+    member, plain = _member_docs()
+    for obj in (bare_3214(), parse_tree_spec(plain)):
+        default = count(obj, pi)
+        assert default.algorithm == "block"
+        assert default.block_size == default_block_size(pi.n) == 9
+        assert count(obj, pi, block_size=4) == \
+            CountResult(default.count, "block", 4)
+    for algorithm in ("auto", "general", "stream"):
+        assert count(_path(["SW", "SW"]), pi, algorithm,
+                     block_size=4).block_size is None
+    assert count(parse_tree_spec(_NAIVE_DP), perm([2, 1, 3]), "naive",
+                 block_size=4).block_size is None
+
+
+def test_front_door_builds_the_double_poset_once(monkeypatch):
+    # The scan's a-priori bound comes from the double poset that decided
+    # the algorithm, not from a second conversion of the rooted tree.
+    calls = []
+    real = trees.snpolytree_to_dp
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(trees, "snpolytree_to_dp", counted)
+    monkeypatch.setattr(counting, "snpolytree_to_dp", counted)
+    result = count(SE_NE_NW_TREE, perm([2, 3, 1, 5, 4, 6]))
+    assert result == CountResult(13, "general")
+    assert len(calls) == 1

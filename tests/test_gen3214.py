@@ -387,11 +387,15 @@ def test_fast_paths_match_exact_structured_inputs():
                          ids=["3214", "no-two", "3214+d1", "nested-d3"])
 def test_fast_paths_match_exact_at_every_block_size(arbo):
     # Every m from 1 to n + 1: the first block's gate, a last partial block,
-    # one block (m = n) and none (m > n).
+    # one block (m = n) and none (m > n).  The perfect shuffles
+    # p[x] = (x mod w)(n / w) + floor(x / w) repeat with period w
+    # (p[x + w] = p[x] + 1), so some m align with it and some do not.
     rng = random.Random(48)
     perms = [perm(range(1, 17)), perm(range(16, 0, -1)),
              Permutation(_layered((3, 4, 2, 5, 2))), random_perm(rng, 16),
              random_perm(rng, 13)]
+    perms += [perm([x % w * (n // w) + x // w + 1 for x in range(n)])
+              for n, w in ((16, 4), (15, 3), (15, 5), (14, 7))]
     for pi in perms:
         for m in range(1, pi.n + 2):
             for fn in (count_type_a, count_type_b_not_a, count_box):
@@ -638,7 +642,7 @@ def test_box_grid_split_matches_exact(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_ring_path_at_default_block_size():
     # wide-three at n = 1100 needs one prime pass; at the default m the box
-    # takes the block-wise path with steps and batches in both rings.
+    # takes the block-wise path with steps in both rings.
     arbo = build_arbo(True, (2, 2, 2, 2))
     pi = random_perm(random.Random(202), 1100)
     m = default_block_size(pi.n)
