@@ -35,6 +35,7 @@ from .counting import (
     count,
     count_all_west,
     count_corner_tree,
+    count_corner_trees,
     naive_morphism_count,
 )
 from .gen3214 import (

@@ -14,8 +14,10 @@ counting and gen3214, reorganized so numpy does the work:
   NE = total - x - position prefix - key prefix + SW, where the position
   prefix sums x over earlier points and the key prefix sums x over smaller
   keys.  The scan runs on any prefix of the sequence, reading only the
-  leading runs of each level.  count_corner_tree runs it on a whole
-  permutation.  Types A and B share one gated pass, over positions for
+  leading runs of each level.  count_corner_trees runs it on a whole
+  permutation for a batch of trees (_Forest): each distinct (child
+  subtree, label) pair is valued once per modulus, and the edges out of one child
+  share its SW sums.  Types A and B share one gated pass, over positions for
   type A and over values for type B; it builds one schedule whose sequence
   follows the gate coordinate, so each block's gated points are a prefix
   of it, and scans only that prefix for each block.
@@ -35,15 +37,27 @@ that natural ring.  When the caller's a-priori bound on the count
 (core.morphism_bound of the tree's or the member's double poset) reaches
 2^64, the pass runs once more modulo each prime below 2^31 that the bound
 requires, and the residues are combined by the Chinese remainder theorem.
-Each schedule is built once and serves every modulus.  A prime pass keeps
-its values reduced below p after every product and after every cumsum that
-feeds one, so no int64 intermediate reaches 2^63.
+A prime pass keeps its values reduced below p after every product and after
+every cumsum that feeds one, so no int64 intermediate reaches 2^63.
+
+One slot (_perm_data) is the only source of a permutation's numpy data.
+It keeps the last permutation counted, keyed by object identity: p, ip and
+the _SplitSchedule on each, built the first time a pass asks for it, so one
+schedule serves every modulus, every tree and every later pass on the same
+Permutation object.  The slot empties before it is filled for another
+object, and when its permutation is garbage-collected.  At n = 100 000 it
+holds 15.2 MB with the schedule on p alone (corner trees) and 30.4 MB with
+both schedules (a family member).  Only data derived from the permutation is
+kept: counts, root values and subtree values are computed afresh by every
+call.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import weakref
+from collections import Counter
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,8 +177,14 @@ class _SplitSchedule:
         if stop == 0:
             return np.zeros(0, dtype=np.int64)
         span = 1 << (stop - 1).bit_length()  # every read run ends by span
-        xp = np.zeros(span, dtype=np.int64)
-        xp[:stop] = x
+        if stop == self.t:
+            # The padding keys t..size-1 sort after every point's key in
+            # their runs, so no point sums what a padding left reads: x
+            # serves as it is, read with clipped indices.
+            xp = x
+        else:
+            xp = np.zeros(span, dtype=np.int64)
+            xp[:stop] = x
         z = np.zeros(span, dtype=np.int64)
         table = np.empty(span, dtype=np.int64)
         for h, lefts, rights, at in self._levels:
@@ -174,7 +194,8 @@ class _SplitSchedule:
             k = runs * h
             cx = table[:runs * (h + 1)].reshape(-1, h + 1)
             cx[:, 0] = 0
-            np.cumsum(xp.take(lefts[:k]).reshape(-1, h), axis=1, out=cx[:, 1:])
+            np.cumsum(xp.take(lefts[:k], mode="clip").reshape(-1, h), axis=1,
+                      out=cx[:, 1:])
             np.add.at(z, rights[:k], table.take(at[:k]))
         # A table entry sums at most h reduced values of one run, and each
         # z[i] sums fewer than stop reduced values over all levels, so it
@@ -188,54 +209,126 @@ class _SplitSchedule:
         order = self._order0[:self.t]
         if stop < self.t:
             order = np.compress(order < stop, order)
-        xs = x.take(order)
-        s = np.empty(stop, dtype=np.int64)
-        s[order] = np.cumsum(xs) - xs
+        s = x.take(order)  # x in key order
+        before = np.cumsum(s)
+        before -= s
+        s[order] = before  # back in sequence order
         return s
 
 
-def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None, label: str,
-                 q: int, stop: int) -> np.ndarray:
-    """Sum of x over the points in each point's label quadrant, among the
-    first stop points of the sequence, reduced.
-
-    x is None for a single node, which counts one.  Every quadrant comes from
-    the SW dominance sum and the position and key prefix sums; each term
-    sums at most stop reduced values, so it stays below 2^63.
-    """
+def _south_west(schedule: _SplitSchedule, x: np.ndarray | None, q: int,
+                stop: int) -> np.ndarray:
+    """The SW sums of x over the first stop points of the sequence, reduced;
+    x is None for a single node, which counts one."""
     if x is None:
-        x = np.ones(stop, dtype=np.int64)
-        sw = schedule.ones_smaller(stop)
-    else:
-        sw = schedule.dominance_smaller(x, q)
+        return schedule.ones_smaller(stop)
+    return schedule.dominance_smaller(x, q)
+
+
+def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None,
+                 sw: np.ndarray, label: str, q: int) -> np.ndarray:
+    """Sum of x over the points in each point's label quadrant, among the
+    first stop = len(sw) points of the sequence, reduced, given their SW
+    sums sw = _south_west(schedule, x, q, stop).
+
+    Every quadrant comes from the SW sums and the position and key prefix
+    sums; each term sums at most stop reduced values, so it stays below
+    2^63.
+    """
     if label == "SW":
         return sw
-    west = np.cumsum(x) - x
-    if label == "NW":
-        return _mod(west - sw, q)
-    south = schedule.key_prefix(x)
+    if x is None:
+        x = np.ones(len(sw), dtype=np.int64)
     if label == "SE":
-        return _mod(south - sw, q)
-    return _mod(x.sum() - x - west - south + sw, q)  # NE
+        out = schedule.key_prefix(x)
+    else:
+        out = np.cumsum(x)
+        out -= x  # the position prefix
+        if label == "NE":
+            out += schedule.key_prefix(x)
+            out += x
+    out -= sw
+    if label == "NE":  # total - x - position prefix - key prefix + SW
+        np.subtract(x.sum(), out, out=out)
+    return _mod(out, q)
 
 
-def _root_values(tree: CornerTree, schedule: _SplitSchedule, q: int,
-                 stop: int) -> np.ndarray:
-    """Placements of the tree rooted at each of the first stop sequence
-    points, using those points only, reduced.
+class _Forest:
+    """Corner trees whose isomorphic subtrees are valued once.
 
-    Subtrees are valued children first, and each child's values are dropped
-    once its parent has used them.
+    Each subtree gets an id by its key, the sorted (child subtree id, label)
+    pairs of its root's edges, so two subtrees share an id exactly when
+    they are the same labelled rooted tree.  An edge's values depend only
+    on its (child id, label) pair, so each distinct pair is valued once per
+    root_values call, and the edges out of one child share its SW sums,
+    the engine's costly step.  Every array is dropped after its last use.
     """
-    values: dict = {}
-    for node in tree.children_first:
-        x = None
-        for child, label in tree.children(node):
-            z = _corner_sums(schedule, values.pop(child), label, q, stop)
-            x = z if x is None else _mod(x * z, q)
-        values[node] = x
-    x = values[tree.root]
-    return np.ones(stop, dtype=np.int64) if x is None else x
+
+    def __init__(self, trees):
+        ids: dict[tuple, int] = {}
+        self.roots = []
+        for tree in trees:
+            node_id: dict = {}
+            for node in tree.children_first:
+                # Larger subtrees, whose ids come later, go first, while
+                # no product of the other edges is held yet.
+                key = tuple(sorted(((node_id.pop(child), label)
+                                    for child, label in tree.children(node)),
+                                   reverse=True))
+                node_id[node] = ids.setdefault(key, len(ids))
+            self.roots.append(node_id[tree.root])
+        self.keys = list(ids)  # children first: a key's ids come before it
+        # Reads of each edge's values, and of each subtree's values: once
+        # per distinct edge out of it and once if it is a root.
+        self.edge_reads = Counter(edge for key in self.keys for edge in key)
+        self.value_reads = Counter(child for child, _ in self.edge_reads)
+        self.root_ids = set(self.roots)
+        self.value_reads.update(self.root_ids)
+
+    def root_values(self, schedule: _SplitSchedule, q: int, stop: int,
+                    reduce=lambda x: x) -> list:
+        """reduce(placements of each tree rooted at each of the first stop
+        sequence points, using those points only, reduced), in tree order.
+
+        No local name holds an array past its last use, so the peak memory
+        is that of the values still to be read.
+        """
+        edge_reads, value_reads = Counter(self.edge_reads), Counter(self.value_reads)
+        edges: dict = {}
+        values: dict = {}
+        sws: dict = {}  # the SW sums of each child's values
+        out = {}
+        for s, key in enumerate(self.keys):
+            x = z = None  # z held the last subtree's last edge values
+            for edge in key:
+                if edge in edges:
+                    z = edges[edge]
+                else:
+                    child, label = edge
+                    if child not in sws:
+                        sws[child] = _south_west(schedule, values[child], q,
+                                                 stop)
+                    z = _corner_sums(schedule, values[child], sws[child],
+                                     label, q)
+                    value_reads[child] -= 1
+                    if values[child] is None:  # a point's SW sums cost little
+                        del sws[child]
+                    if not value_reads[child]:
+                        del values[child]
+                        sws.pop(child, None)
+                edge_reads[edge] -= 1
+                if edge_reads[edge]:
+                    edges[edge] = z
+                else:
+                    edges.pop(edge, None)
+                x = z if x is None else _mod(x * z, q)
+            if s in self.root_ids:
+                out[s] = reduce(np.ones(stop, dtype=np.int64) if x is None
+                                else x)
+                value_reads[s] -= 1
+            if value_reads[s]:
+                values[s] = x
+        return [out[s] for s in self.roots]
 
 
 _TRANSPOSED = {"NE": "NE", "NW": "SE", "SE": "NW", "SW": "SW"}
@@ -247,39 +340,79 @@ def _transposed(tree: CornerTree) -> CornerTree:
                                        for parent, child, label in tree.edges))
 
 
-def _values(pi: Permutation) -> np.ndarray:
-    return np.fromiter(pi.values, dtype=np.int64, count=pi.n) - 1
+class _PermData:
+    """One permutation's numpy data: p (values, 0-based, by position), ip
+    (positions by value), and the _SplitSchedule on each, each built when
+    first asked for."""
+
+    def __init__(self, pi: Permutation):
+        self.pi = weakref.ref(pi, _forget)
+        self.p = np.fromiter(pi.values, dtype=np.int64, count=pi.n) - 1
+
+    @cached_property
+    def ip(self) -> np.ndarray:
+        ip = np.empty_like(self.p)
+        ip[self.p] = np.arange(len(self.p), dtype=np.int64)
+        return ip
+
+    @cached_property
+    def p_schedule(self) -> _SplitSchedule:
+        return _SplitSchedule(self.p)
+
+    @cached_property
+    def ip_schedule(self) -> _SplitSchedule:
+        return _SplitSchedule(self.ip)
 
 
-def _perm_arrays(pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
-    p = _values(pi)
-    ip = np.empty(pi.n, dtype=np.int64)
-    ip[p] = np.arange(pi.n, dtype=np.int64)
-    return p, ip
+_slot: _PermData | None = None  # the last permutation counted
 
 
-def count_corner_tree(pi: Permutation, tree: CornerTree, bound: int) -> int:
-    """Occurrences of the corner tree in pi, given that they are at most bound."""
-    schedule = _SplitSchedule(_values(pi))
+def _forget(ref: weakref.ref) -> None:
+    """Empty the slot once its permutation is gone."""
+    global _slot
+    if _slot is not None and _slot.pi is ref:
+        _slot = None
+
+
+def _perm_data(pi: Permutation) -> _PermData:
+    """pi's numpy data, from the slot when the slot holds pi itself.
+
+    A caller keeps the object it is given, so a count that another thread
+    starts on another permutation meanwhile costs a rebuild, never a wrong
+    array.
+    """
+    global _slot
+    data = _slot
+    if data is None or data.pi() is not pi:
+        _slot = data = None  # free the old arrays before building new ones
+        data = _slot = _PermData(pi)
+    return data
+
+
+def count_corner_trees(pi: Permutation, trees, bound: int) -> list[int]:
+    """Occurrences of each corner tree in pi, given that each is at most
+    bound; every modulus runs once over all the trees."""
+    schedule = _perm_data(pi).p_schedule
+    forest = _Forest(trees)
     moduli = _moduli(bound)
-    return _crt([int(_root_values(tree, schedule, q, pi.n).sum())
-                 for q in moduli], moduli)
+    residues = [forest.root_values(schedule, q, pi.n, lambda x: int(x.sum()))
+                for q in moduli]
+    return [_crt(list(r), moduli) for r in zip(*residues)]
 
 
 def count_type_a(pi: Permutation, west_tree: CornerTree, m: int,
                  bound: int) -> int:
     """The type-A count, given that it is at most bound."""
-    return _gated_pass(_perm_arrays(pi)[1], west_tree, m, bound,
-                       own_block=False)
+    return _gated_pass(pi, west_tree, m, bound, own_block=False)
 
 
 def count_type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int,
                        bound: int) -> int:
     """The type-B-not-A count, given that it is at most bound."""
-    return _gated_pass(_values(pi), inv_west_tree, m, bound, own_block=True)
+    return _gated_pass(pi, inv_west_tree, m, bound, own_block=True)
 
 
-def _gated_pass(scan: np.ndarray, tree: CornerTree, m: int, bound: int,
+def _gated_pass(pi: Permutation, tree: CornerTree, m: int, bound: int,
                 own_block: bool) -> int:
     """One gated scan per block of gate coordinates, given a count at most
     bound.
@@ -298,9 +431,13 @@ def _gated_pass(scan: np.ndarray, tree: CornerTree, m: int, bound: int,
     A candidate reads the prefix sums of the root values in scan order at
     its own scan index, less the read at its block start with own_block.
     """
+    data = _perm_data(pi)
+    if own_block:
+        scan, schedule = data.p, data.p_schedule
+    else:
+        scan, schedule = data.ip, data.ip_schedule
     n = len(scan)
-    schedule = _SplitSchedule(scan)
-    tree = _transposed(tree)
+    forest = _Forest([_transposed(tree)])
     moduli = _moduli(bound)
     totals = [0] * len(moduli)
     by_scan = np.zeros(n, dtype=np.int64)  # root values by scan index
@@ -310,7 +447,7 @@ def _gated_pass(scan: np.ndarray, tree: CornerTree, m: int, bound: int,
         for k, q in enumerate(moduli):
             # The gated sets grow with r, so this overwrites every entry
             # that an earlier block wrote.
-            by_scan[scan[:r]] = _root_values(tree, schedule, q, r)
+            by_scan[scan[:r]] = forest.root_values(schedule, q, r)[0]
             croots = _prefix_sums(by_scan, q)
             totals[k] += int(croots[cand].sum()) - int(croots[start].sum())
     return _crt(totals, moduli)
@@ -318,11 +455,11 @@ def _gated_pass(scan: np.ndarray, tree: CornerTree, m: int, bound: int,
 
 def count_box(pi: Permutation, dec, m: int, bound: int) -> int:
     """The box count, given that it is at most bound."""
-    p, ip = _perm_arrays(pi)
+    data = _perm_data(pi)
     m = min(m, pi.n)  # every m >= n makes one block
-    full = _SplitSchedule(p)
     moduli = _moduli(bound)
-    return _crt([_box(p, ip, full, dec, m, q) for q in moduli], moduli)
+    return _crt([_box(data.p, data.ip, data.p_schedule, dec, m, q)
+                 for q in moduli], moduli)
 
 
 _BOX_STEP = 1 << 13  # triples per vectorized step of the box pass
@@ -396,9 +533,10 @@ def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
     and each group lists only the triples whose y3 is on its rows.
     """
     n = len(p)
-    d3 = _root_values(dec.dangle3_tree, full, q, n)
-    d1 = _root_values(dec.dangle1_tree, full, q, n)
-    if dec.dangle2_tree is None:
+    dangles = [t for t in (dec.dangle3_tree, dec.dangle1_tree,
+                           dec.dangle2_tree) if t is not None]
+    d3, d1, *w2 = _Forest(dangles).root_values(full, q, n)
+    if not w2:
         # Each coef is reduced and a step sums fewer than _BOX_STEP + m.
         return sum(int(_mod(d3[x3] * d1[x1], q).sum())
                    for col in range(0, n, m)
@@ -406,7 +544,7 @@ def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
                        p, ip, d3[col:min(col + m, n)] != 0, col,
                        min(col + m, n), m))
 
-    w2 = _root_values(dec.dangle2_tree, full, q, n)
+    w2 = w2[0]
     g3 = full.dominance_smaller(w2, q)
     west_w = np.zeros(n, dtype=np.int64)  # w2 by value, west of the block
     total = 0

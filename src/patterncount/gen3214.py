@@ -106,13 +106,15 @@ def validate_arbo(dp: DoublePoset) -> ArboNE:
     if four is None:
         raise NoGlobalMax("no element is above all others in both orders")
     rest = everything ^ (1 << four)
-    if not classify(dp.restrict([v for v in range(n) if v != four])).is_twin_tree:
-        raise RestrictionNotTwinTree("removing the top element must leave a twin tree")
-
+    # The maxima take O(n) mask tests, the twin-tree check far more, so a
+    # spine without them is rejected first.
     three = _maximum(dp.west.below, rest)
     one = _maximum(dp.south.below, rest)
     if three is None or one is None or one == three:
         raise BadSpine("the rest needs distinct west and south maxima")
+    if not classify(dp.restrict([v for v in range(n) if v != four])).is_twin_tree:
+        raise RestrictionNotTwinTree("removing the top element must leave a twin tree")
+
     # In a twin tree x < three exactly when the tree path from x to three is
     # directed, so the elements between one and three are the path's inner
     # nodes.  With three the west maximum and one the south maximum, every

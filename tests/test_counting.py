@@ -2,6 +2,9 @@ import itertools
 import json
 import logging
 import random
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -30,14 +33,17 @@ from patterncount.counting import (
     count,
     count_all_west,
     count_corner_tree,
+    count_corner_trees,
     naive_corner_tree_count,
     naive_morphism_count,
 )
-from patterncount.gen3214 import bare_3214, build_arbo, default_block_size
+from patterncount.algebra import twin_tree_family
+from patterncount.gen3214 import (bare_3214, build_arbo, count_gen_3214,
+                                  default_block_size)
 from patterncount.indexstructs import SumTree
-from patterncount.trees import CornerTree, snpolytree_to_ct
+from patterncount.trees import CornerTree, dp_to_snpolytree, snpolytree_to_ct
 from tests.test_cli import SE_TREE
-from tests.test_gen3214 import structured_perms
+from tests.test_gen3214 import _layered, structured_perms
 from tests.test_trees import random_corner_tree, random_polytree
 
 
@@ -378,6 +384,167 @@ def test_deep_trees_walk_without_recursion():
     counter = StreamWestCounter(_path(["SW"] * 1199), pi.n)
     assert [counter.process(x, y) for x, y in enumerate(pi.zero_indexed())] \
         == [0] * 5
+
+
+# ------------------------------------------ many trees on one permutation
+
+def _twin_trees(max_nodes):
+    """The twin trees on at most max_nodes nodes, each rooted at its west
+    maximum (or node 0 without one), as count() roots them."""
+    out = []
+    for d in twin_tree_family(max_nodes):
+        root = next((v for v in range(d.n)
+                     if d.west.below[v].bit_count() == d.n - 1), 0)
+        out.append(snpolytree_to_ct(dp_to_snpolytree(d), root))
+    return out
+
+
+def _perfect_shuffle(n, w):
+    """p[x] = (x mod w)(n / w) + floor(x / w), 1-based; w divides n."""
+    return perm([x % w * (n // w) + x // w + 1 for x in range(n)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 12])
+def test_batch_matches_oracle_and_single_counts(n):
+    rng = random.Random(300 + n)
+    batch = _twin_trees(4) + [random_corner_tree(rng, 5) for _ in range(12)]
+    perms = {"uniform": random_perm(rng, n),
+             "layered": Permutation(_layered({0: (), 1: (1,), 2: (2,),
+                                              12: (1, 3, 2, 4, 2)}[n])),
+             "shuffle": _perfect_shuffle(n, 4 if n == 12 else 1)}
+    for kind, pi in perms.items():
+        got = count_corner_trees(pi, batch)
+        assert got == [count_corner_tree(pi, ct) for ct in batch], kind
+        assert got == [naive_corner_tree_count(pi, ct) for ct in batch], kind
+
+
+def test_batch_edge_cases():
+    pi = random_perm(random.Random(301), 30)
+    west = CornerTree(0, ((0, 1, "SW"), (1, 2, "NW"), (0, 3, "SW")))
+    point = CornerTree("v", ())
+    assert count_corner_trees(pi, []) == []
+    assert count_corner_trees(pi, [point]) == [30]
+    assert count_corner_trees(Permutation(()), [point, west]) == [0, 0]
+    once = count_corner_tree(pi, west)
+    assert count_corner_trees(pi, [west, point, west, SE_NE_NW_TREE, west]) == \
+        [once, 30, once, count_corner_tree(pi, SE_NE_NW_TREE), once]
+    # The same tree under other node names shares every subtree.
+    renamed = CornerTree("a", (("a", "b", "SW"), ("b", "c", "NW"),
+                               ("a", "d", "SW")))
+    assert count_corner_trees(pi, (t for t in (renamed, west))) == [once, once]
+
+
+def test_batch_runs_every_tree_under_the_largest_bound():
+    # The 2-node tree alone needs the int64 ring only; beside a star of
+    # nine SW leaves it runs in the int64 ring and two prime rings.
+    pi = random_perm(random.Random(39), 2000)
+    edge = CornerTree(0, ((0, 1, "SE"),))
+    star = _star(("SW",) * 9)
+    assert len(_fast._moduli(occurrence_bound(edge, pi.n))) == 1
+    assert len(_fast._moduli(occurrence_bound(star, pi.n))) == 3
+    expected = [sum(corner_tree_profiles(pi, ct)[0][ct.root])
+                for ct in (edge, star)]
+    assert count_corner_trees(pi, [edge, star]) == expected
+    assert count_corner_trees(pi, [star, edge]) == expected[::-1]
+
+
+# ------------------------------------------------- the permutation slot
+
+def _counting_builds(monkeypatch):
+    """The keys' lengths of every _SplitSchedule built from now on."""
+    builds = []
+
+    class Counted(_fast._SplitSchedule):
+        def __init__(self, keys):
+            builds.append(len(keys))
+            super().__init__(keys)
+
+    monkeypatch.setattr(_fast, "_SplitSchedule", Counted)
+    return builds
+
+
+def test_one_schedule_per_permutation(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    pi = random_perm(random.Random(302), 200)
+    trees = [SE_NE_NW_TREE, _star(("NE", "SW")), CornerTree(0, ((0, 1, "NW"),))]
+    counts = [count_corner_tree(pi, ct) for ct in trees]
+    assert builds == [200]
+    assert count_corner_trees(pi, trees) == counts
+    assert builds == [200]
+    # A member's type-A pass scans positions by value, its type-B pass and
+    # box the values by position: two schedules, both kept for the next.
+    sigma = random_perm(random.Random(303), 150)
+    for arbo, expected in ((bare_3214(), [150, 150]),
+                           (build_arbo(True, (0,)), [])):
+        builds.clear()
+        assert count_gen_3214(sigma, arbo, 7) == \
+            count_gen_3214(sigma, arbo, 7, method="exact")
+        assert builds == expected
+
+
+def test_slot_follows_the_permutation_object():
+    rng = random.Random(304)
+    cherry = _star(("NE", "SW"))
+    pis = [random_perm(rng, 60), random_perm(rng, 61)]
+    expected = [[naive_corner_tree_count(pi, ct) for ct in (SE_NE_NW_TREE, cherry)]
+                for pi in pis]
+    for _ in range(3):
+        for pi, counts in zip(pis, expected):
+            assert [count_corner_tree(pi, SE_NE_NW_TREE),
+                    count_corner_tree(pi, cherry)] == counts
+    # Equal permutations that are distinct objects each get their own data.
+    twin = Permutation(tuple(pis[0].values))
+    assert twin == pis[0] and twin is not pis[0]
+    assert count_corner_tree(twin, SE_NE_NW_TREE) == expected[0][0]
+    assert _fast._slot.pi() is twin
+    assert count_corner_tree(pis[0], SE_NE_NW_TREE) == expected[0][0]
+    assert _fast._slot.pi() is pis[0]
+
+
+def test_slot_drops_the_previous_permutation():
+    rng = random.Random(305)
+    first, second = random_perm(rng, 80), random_perm(rng, 80)
+    count_corner_tree(first, SE_NE_NW_TREE)
+    schedule = weakref.ref(_fast._slot.p_schedule)
+    count_corner_tree(second, SE_NE_NW_TREE)
+    assert schedule() is None
+    assert first.n == 80  # the first permutation itself is still alive
+    # The slot empties once its permutation is gone.
+    count_corner_tree(first, SE_NE_NW_TREE)
+    del first
+    assert _fast._slot is None
+
+
+def test_counts_stay_exact_across_threads():
+    # Threads counting different permutations evict each other's data from
+    # the slot; every count must still be exact.
+    rng = random.Random(306)
+    pis = [random_perm(rng, 120) for _ in range(3)]
+    arbo = build_arbo(True, (0,))
+    expected = [(naive_corner_tree_count(pi, SE_NE_NW_TREE),
+                 count_gen_3214(pi, arbo, 5, method="exact")) for pi in pis]
+    wrong = []
+
+    def work(k):
+        for i in range(12):
+            j = (k + i) % len(pis)
+            got = (count_corner_tree(pis[j], SE_NE_NW_TREE),
+                   count_gen_3214(pis[j], arbo, 5))
+            if got != expected[j]:
+                wrong.append((k, i, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # ------------------------------------------------------ the front door

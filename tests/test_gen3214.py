@@ -146,6 +146,14 @@ def test_validate_rejects_long_spine():
         validate_arbo(double_poset(5, west, south))
 
 
+def test_validate_checks_the_spine_before_the_twin_tree():
+    # Below the top 2 the rest is two unrelated points: no twin tree, and no
+    # west or south maximum.  The cheap spine check speaks first.
+    dp = double_poset(3, [(0, 2), (1, 2)], [(0, 2), (1, 2)])
+    with pytest.raises(BadSpine, match="distinct west and south maxima"):
+        validate_arbo(dp)
+
+
 def _members_up_to(max_n):
     """Canonical forms of the build_arbo members with at most max_n elements."""
     forms = set()
@@ -512,6 +520,8 @@ def test_ring_path_above_int64_two_primes():
 def test_one_schedule_per_pass(monkeypatch):
     # Every block of a type-A/B pass, and every modulus, scans one schedule
     # of the whole permutation; the box scans its dangle trees on one too.
+    # Each pass gets an equal but new permutation object, since a pass on
+    # the permutation counted last reuses its schedules.
     builds = []
 
     class Counted(_fast._SplitSchedule):
@@ -530,6 +540,7 @@ def test_one_schedule_per_pass(monkeypatch):
               (_fast.count_box, dec, count_box)]
     for fast, tree, exact in passes:
         builds.clear()
+        pi = Permutation(pi.values)
         assert fast(pi, tree, 7, bound) == exact(pi, arbo, 7, method="exact")
         assert builds == [300], fast.__name__
 
