@@ -471,20 +471,6 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
-def _block_table(rank: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
-    """In-block cumulative table of one position block, whose points have
-    the value ranks rank within the block.
-
-    table[i, j] sums w over the block's first i points whose value is among
-    the block's j smallest.
-    """
-    size = len(rank)
-    table = np.zeros((size + 1, size + 1), dtype=np.int64)
-    table[np.arange(1, size + 1), rank + 1] = w
-    # Each entry sums at most size reduced values before it is reduced.
-    return _mod(np.cumsum(_mod(np.cumsum(table, axis=0), q), axis=1), q)
-
-
 def _block_triples(p: np.ndarray, ip: np.ndarray, keep3: np.ndarray, col: int,
                    end: int, m: int):
     """The box triples (x3, y1, x1) of the position block [col, end) whose
@@ -555,7 +541,11 @@ def _box(p: np.ndarray, ip: np.ndarray, full: _SplitSchedule, dec, m: int,
         west = _prefix_sums(west_w, q)  # west[v]: w2 west, values below v
         below = _count_below(p[col:end], n)  # below[v]: block values < v
         rank = below[p[col:end]]
-        table = _block_table(rank, w2[col:end], q)
+        # table[i, j] sums w2 over the block's first i points among its j
+        # lowest values.
+        side = end - col + 1
+        table = _cumulative_grid((side, side), np.arange(1, side), rank + 1,
+                                 w2[col:end], q)
         col_of, ncols = _west_columns(p, ip, col, end, m)
         rows = below[p[:end]]
         group = max(1, _GRID_CELLS // max(ncols, 1))
@@ -619,19 +609,27 @@ def _west_grid(w2: np.ndarray, rows: np.ndarray, col_of: np.ndarray,
     over the points at or west of column c whose value is at most the
     block's value of rank r0 + k, that is F(column c, that value).
     """
-    nrows = r1 - r0
     keep = (col_of < ncols) & (rows < r1)
-    grid = np.zeros((ncols, nrows), dtype=np.int64)
-    np.add.at(grid.reshape(-1),
-              col_of[keep] * nrows + np.maximum(rows[keep] - r0, 0),
-              w2[:len(rows)][keep])
+    return _cumulative_grid((ncols, r1 - r0), col_of[keep],
+                            np.maximum(rows[keep] - r0, 0),
+                            w2[:len(rows)][keep], q)
+
+
+def _cumulative_grid(shape: tuple[int, int], i: np.ndarray, j: np.ndarray,
+                     w: np.ndarray, q: int) -> np.ndarray:
+    """2-D cumulative sums, reduced, of the weights w added to the cells
+    (i, j) of a grid of the given shape: cell (a, b) sums w over the cells
+    with i <= a and j <= b.
+    """
+    grid = np.zeros(shape, dtype=np.int64)
+    np.add.at(grid.reshape(-1), i * shape[1] + j, w)
     # A cell sums at most n reduced values, so it stays below n * q < 2^63,
     # and each cumsum adds up reduced cells of one row or one column.
     grid = _mod(grid, q)
-    np.cumsum(grid, axis=1, out=grid)
-    grid = _mod(grid, q)
-    np.cumsum(grid, axis=0, out=grid)
-    return _mod(grid, q)
+    for axis in (1, 0):
+        np.cumsum(grid, axis=axis, out=grid)
+        grid = _mod(grid, q)
+    return grid
 
 
 def _dominance_batch(grid: np.ndarray, col_of: np.ndarray, qx: np.ndarray,

@@ -489,11 +489,7 @@ def _integer_rank(rows: list[list[int]]) -> int:
             if not f:
                 continue
             row = [piv * a - f * b for a, b in zip(rows[i], rows[rank])]
-            g = 0
-            for a in row:
-                g = gcd(g, a)
-                if g == 1:
-                    break
+            g = gcd(*row)
             if g > 1:
                 row = [a // g for a in row]
             rows[i] = row

@@ -23,19 +23,19 @@ Two pure-Python paths stay beside it.  corner_tree_profiles runs one
 Fenwick scan per edge, children first: insert the child's profile value
 at the point's value index, then read a strict prefix (S labels) or
 strict suffix (N labels) sum, scanning ascending positions for W labels
-and descending ones for E labels; it is the oracle.  StreamWestCounter,
-the online counter for all-W (NW/SW) trees, serves gen3214's reference
-passes: points arrive in increasing position and each returns its root
-placements at once.
+and descending ones for E labels.  It is the oracle, and gen3214's
+reference passes (method="exact") read its root profiles.
+StreamWestCounter, the online counter for all-W (NW/SW) trees, takes
+points in increasing position and returns each one's root placements at
+once; it is public API, and no count runs it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (DoublePoset, Permutation, _iter_morphisms, classify,
-                   morphism_bound)
+from .core import DoublePoset, Permutation, _iter_morphisms, morphism_bound
 from .indexstructs import SumTree
-from .trees import (CornerTree, SNPolytree, ct_to_snpolytree,
+from .trees import (CornerTree, NotTwinTree, SNPolytree, ct_to_snpolytree,
                     dp_to_snpolytree, snpolytree_to_ct, snpolytree_to_dp)
 
 ALGORITHMS = ("auto", "general", "stream", "block", "naive")
@@ -96,9 +96,12 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
         raise ValueError(f"unknown algorithm {algorithm!r}")
     d = as_double_poset(obj)
     arbo = gen3214.family_member(d)
-    twin_tree = classify(d).is_twin_tree
+    try:
+        sn = dp_to_snpolytree(d)  # the one twin-tree decision
+    except NotTwinTree:
+        sn = None
     if algorithm == "auto":
-        algorithm = "block" if arbo else "general" if twin_tree else "naive"
+        algorithm = "block" if arbo else "naive" if sn is None else "general"
         if algorithm == "naive":
             import logging  # here only: it adds 0.4 MB to every process
             logging.getLogger(__name__).warning(
@@ -110,12 +113,12 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
             raise Inapplicable("the block algorithm needs a family member")
         m = gen3214.default_block_size(pi.n) if block_size is None else block_size
         return CountResult(gen3214.count_gen_3214(pi, arbo, m), algorithm, m)
-    if not twin_tree:
+    if sn is None:
         raise Inapplicable(f"the {algorithm} algorithm needs a twin tree")
     # A twin tree has at most one west maximum, the only all-west rooting.
     root = next((v for v in range(d.n)
                  if d.west.below[v].bit_count() == d.n - 1), 0)
-    ct = snpolytree_to_ct(dp_to_snpolytree(d), root)
+    ct = snpolytree_to_ct(sn, root)
     if algorithm == "stream" and not ct.labels() <= {"NW", "SW"}:
         raise Inapplicable("no rooting of this tree uses only west labels")
     return CountResult(_count(pi, [ct], [d])[0], algorithm)

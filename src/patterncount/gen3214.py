@@ -32,10 +32,10 @@ the dangles below it (see decompose).
 method="auto" and "fast" run the numpy passes of the _fast module, which
 handle one position block at a time and are exact under the a-priori bound
 core.morphism_bound of the member's double poset.  method="exact" runs the
-streaming reference passes, kept as oracles: a gated StreamWestCounter per
-block for types A and B, and for the box the dangle weights of `one` and
-`three` as lists, a 2-D accumulator only for the dangle2 box sums, and a
-loop over every candidate `four`.
+reference passes, kept as oracles, on root profiles of corner_tree_profiles:
+of the tree on each block's gated points for types A and B, and of the
+dangle trees for the box, which loops over every candidate `four` and keeps
+a 2-D accumulator only for the dangle2 box sums.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ from functools import lru_cache
 
 from .core import (DoublePoset, Permutation, classify, double_poset,
                    morphism_bound, swap)
-from .counting import StreamWestCounter
+from .counting import corner_tree_profiles
+# Unused here, since no pass builds one; perfbench's tracer patches
+# gen3214.StreamWestCounter, as it does gen3214.ProductTree.
+from .counting import StreamWestCounter  # noqa: F401
 from .indexstructs import ProductTree
 from .trees import CornerTree, dp_to_snpolytree, snpolytree_to_ct
 
@@ -225,20 +228,23 @@ def _check_block_args(m, method: str) -> int:
 
 def _gated_block(g: tuple[int, ...], tree: CornerTree, r: int, m: int,
                  own_block: bool) -> int:
-    """One gated stream over the scan index s, with gate coordinate g[s].
+    """One gated scan over the scan index s, with gate coordinate g[s].
 
-    Points with g[s] < r feed the tree scan; a candidate with g[s] in
-    [r, r + m) collects the root placements fed before it, or with
-    own_block only those fed since the start of its own block of scan
-    indices.
+    The points with g[s] < r take the values 0..r-1, so in scan order they
+    are a permutation, whose root profile counts at each gated point the
+    placements of the all-west tree on the gated points before it.  A
+    candidate with g[s] in [r, r + m) collects the root placements before
+    it, or with own_block only those since the start of its own block of
+    scan indices.
     """
-    counter = StreamWestCounter(tree, len(g))
+    gated = Permutation(tuple(x + 1 for x in g if x < r))
+    roots = iter(corner_tree_profiles(gated, tree)[0][tree.root])
     gate_total = snapshot = out = 0
     for s, x in enumerate(g):
         if own_block and s % m == 0:
             snapshot = gate_total
         if x < r:
-            gate_total += counter.process(s, x)
+            gate_total += next(roots)
         elif x < r + m:
             out += gate_total - snapshot
     return out
@@ -247,7 +253,7 @@ def _gated_block(g: tuple[int, ...], tree: CornerTree, r: int, m: int,
 def count_type_a(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> int:
     """Morphisms whose one- and four-images lie in different value blocks.
 
-    One gated stream per value block: points below the block feed the tree
+    One gated scan per value block: points below the block feed the tree
     scan, points inside the block act as candidates for `four` and collect
     the running total of root placements to their west.
     """
@@ -293,12 +299,6 @@ def count_type_b_not_a(pi: Permutation, arbo: ArboNE, m: int,
 
 # ---------------------------------------------------------------- box
 
-def dangle_weights(pi: Permutation, tree: CornerTree) -> list[int]:
-    """Ungated stream root values: placements of the subtree at each point."""
-    counter = StreamWestCounter(tree, pi.n)
-    return [counter.process(x, y) for x, y in enumerate(pi.zero_indexed())]
-
-
 def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> int:
     """Morphisms with both anchor pairs inside single blocks.
 
@@ -306,8 +306,8 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
     in its position block and for `one` in its value block, and multiplies
     the dangle placements: box sums of the dangle2 weights between `one`
     and `three`, south-west sums for the dangles below `one` and `three`.
-    The exact path reads the dangle weights below `three` and `one` from
-    two lists, the dangle2 box sums from one 2-D accumulator, and loops over
+    The exact path reads the dangle root profiles of `three` and `one` as
+    lists and the dangle2 box sums from one 2-D accumulator, and loops over
     the candidates; the numpy path handles one position block at a time.
     """
     m = _check_block_args(m, method)
@@ -322,12 +322,12 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
     vals = pi.zero_indexed()
     inv = pi.inverse().zero_indexed()
 
-    d3 = dangle_weights(pi, dec.dangle3_tree)
-    d1 = dangle_weights(pi, dec.dangle1_tree)
+    d3, d1, d2 = [None if t is None else corner_tree_profiles(pi, t)[0][t.root]
+                  for t in (dec.dangle3_tree, dec.dangle1_tree, dec.dangle2_tree)]
     d2_box = None
-    if dec.dangle2_tree is not None:
+    if d2 is not None:
         d2_box = ProductTree(n)
-        for x, w in enumerate(dangle_weights(pi, dec.dangle2_tree)):
+        for x, w in enumerate(d2):
             d2_box.add(x, vals[x], w)
 
     total = 0
@@ -355,10 +355,10 @@ def count_gen_3214(pi: Permutation, arbo: ArboNE, m: int | None = None,
                    method: str = "auto") -> int:
     """Total morphism count: the three types partition Mor for any m.
 
-    m defaults to default_block_size(n).  method="exact" runs the streaming
-    reference passes, kept as oracles; "auto" and "fast" run the numpy
-    passes, which are exact as well.  An unknown method or a block size
-    that is not an int of at least 1 raises ValueError.
+    m defaults to default_block_size(n).  method="exact" runs the reference
+    passes, kept as oracles; "auto" and "fast" run the numpy passes, which
+    are exact as well.  An unknown method or a block size that is not an
+    int of at least 1 raises ValueError.
     """
     m = _check_block_args(default_block_size(pi.n) if m is None else m, method)
     if pi.n == 0:

@@ -3,10 +3,11 @@
 Both are realized as binary indexed (Fenwick) trees, which have the same
 logarithmic update/query costs as a complete binary tree of partial sums.
 Python integers are arbitrary precision, so counts never overflow.  The
-streaming reference paths use these trees: the corner-tree scans and
-StreamWestCounter use sum-trees, and the exact box pass of gen3214 one
-product-tree, for the box sums of the dangle weights below `two`.  The
-vectorized paths in _fast are exact by ring arithmetic and need neither.
+reference paths use these trees: corner_tree_profiles, which gen3214's exact
+passes read, and the public StreamWestCounter, which no count runs, use
+sum-trees; gen3214's exact box uses one product-tree, for the box sums of
+the dangle weights below `two`.  The vectorized paths in _fast are exact
+by ring arithmetic and need neither.
 """
 
 from __future__ import annotations

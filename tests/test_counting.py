@@ -668,3 +668,28 @@ def test_front_door_builds_the_double_poset_once(monkeypatch):
     result = count(SE_NE_NW_TREE, perm([2, 3, 1, 5, 4, 6]))
     assert result == CountResult(13, "general")
     assert len(calls) == 1
+
+
+def test_no_count_builds_a_stream_west_counter(monkeypatch):
+    # StreamWestCounter is public API that no count runs: the block
+    # counter's exact passes read corner_tree_profiles, and every scan
+    # runs the _fast engine.
+    from patterncount import gen3214
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a count built a StreamWestCounter")
+
+    monkeypatch.setattr(counting, "StreamWestCounter", Refused)
+    monkeypatch.setattr(gen3214, "StreamWestCounter", Refused)
+    pi = random_perm(random.Random(61), 10)
+    for arbo in (bare_3214(), gen3214.level5_arbos()[1]):
+        expected = naive_morphism_count(arbo.dp, pi)
+        for method in ("auto", "exact"):
+            assert count_gen_3214(pi, arbo, 3, method) == expected, method
+    tree = CornerTree(0, ((0, 1, "SW"), (0, 2, "NW"), (2, 3, "SW")))
+    expected = naive_corner_tree_count(pi, tree)
+    for algorithm in ("general", "stream"):
+        assert count(tree, pi, algorithm) == CountResult(expected, algorithm)
+    assert count_corner_tree(pi, tree) == expected
+    assert count_all_west(pi, tree) == expected

@@ -411,6 +411,21 @@ def test_fast_paths_match_exact_at_every_block_size(arbo):
                     (fn.__name__, pi, m)
 
 
+@pytest.mark.parametrize("n, w", [(63, 3), (76, 4), (75, 5), (77, 7)])
+def test_fast_paths_match_exact_on_perfect_shuffles(n, w):
+    # The perfect shuffle p[x] = (x mod w)(n / w) + floor(x / w) and its
+    # inverse, at the default m and one either side of it.  The box pass
+    # runs more than twice as long on them as on uniform input.
+    shuffle = perm([x % w * (n // w) + x // w + 1 for x in range(n)])
+    m0 = default_block_size(n)
+    for pi in (shuffle, shuffle.inverse()):
+        for arbo in (bare_3214(), *level5_arbos()):
+            for m in (m0 - 1, m0, m0 + 1):
+                for fn in (count_type_a, count_type_b_not_a, count_box):
+                    assert fn(pi, arbo, m) == fn(pi, arbo, m, method="exact"), \
+                        (fn.__name__, pi, arbo, m)
+
+
 def test_block_size_past_int64_is_one_block():
     # Every m >= n makes one block, also an m that no int64 holds.
     pi = perm([4, 3, 2, 1, 5, 6])
