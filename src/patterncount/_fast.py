@@ -1,7 +1,8 @@
 """Vectorized counting paths: corner-tree scans and the block decomposition.
 
-These compute exactly the same integers as the streaming reference code in
-counting and gen3214, reorganized so numpy does the work:
+These compute exactly the same integers as the pure-Python reference code,
+counting.corner_tree_profiles and gen3214's method="exact" passes,
+reorganized so numpy does the work:
 
 * One offline scan engine serves every corner label.  A top-down merge
   schedule over a sequence's keys answers "sum of x over earlier points

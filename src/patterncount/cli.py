@@ -328,7 +328,6 @@ def cmd_selftest(args) -> int:
 _SW_CHAIN = trees.CornerTree(0, ((0, 1, "SW"), (1, 2, "SW")))
 # Each algorithm's benchmark: the object it counts and the default sizes.
 _BENCH = {
-    "stream": (_SW_CHAIN, (100_000, 200_000, 400_000)),
     "general": (_SW_CHAIN, (100_000, 200_000, 400_000)),
     "block": (gen3214.bare_3214(), (20_000, 40_000, 80_000)),
 }
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("bench", help="emit CSV timing rows")
-    p.add_argument("--algorithm", default="stream", choices=list(_BENCH))
+    p.add_argument("--algorithm", default="general", choices=list(_BENCH))
     p.add_argument("--n", type=int, nargs="*", default=None)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_bench)

@@ -38,7 +38,7 @@ from .indexstructs import SumTree
 from .trees import (CornerTree, NotTwinTree, SNPolytree, ct_to_snpolytree,
                     dp_to_snpolytree, snpolytree_to_ct, snpolytree_to_dp)
 
-ALGORITHMS = ("auto", "general", "stream", "block", "naive")
+ALGORITHMS = ("auto", "general", "block", "naive")
 
 
 class NotWestTree(ValueError):
@@ -86,9 +86,9 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
     """Count obj (a CornerTree, SNPolytree, ArboNE or DoublePoset) in pi.
 
     auto picks block for a family member (m = block_size, default
-    gen3214.default_block_size(n)), general for a twin tree (rooted at its
-    west maximum), otherwise naive with a logged warning.  A named algorithm
-    that does not apply raises Inapplicable; stream needs only west labels.
+    gen3214.default_block_size(n)), general for a twin tree, otherwise naive
+    with a logged warning.  A named algorithm that does not apply raises
+    Inapplicable.
     """
     from . import gen3214
 
@@ -114,13 +114,9 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
         m = gen3214.default_block_size(pi.n) if block_size is None else block_size
         return CountResult(gen3214.count_gen_3214(pi, arbo, m), algorithm, m)
     if sn is None:
-        raise Inapplicable(f"the {algorithm} algorithm needs a twin tree")
-    # A twin tree has at most one west maximum, the only all-west rooting.
-    root = next((v for v in range(d.n)
-                 if d.west.below[v].bit_count() == d.n - 1), 0)
-    ct = snpolytree_to_ct(sn, root)
-    if algorithm == "stream" and not ct.labels() <= {"NW", "SW"}:
-        raise Inapplicable("no rooting of this tree uses only west labels")
+        raise Inapplicable("the general algorithm needs a twin tree")
+    # Every rooting of a twin tree counts the same.
+    ct = snpolytree_to_ct(sn, 0)
     return CountResult(_count(pi, [ct], [d])[0], algorithm)
 
 

@@ -257,19 +257,7 @@ def count_type_a(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") ->
     scan, points inside the block act as candidates for `four` and collect
     the running total of root placements to their west.
     """
-    m = _check_block_args(m, method)
-    n = pi.n
-    if n == 0:
-        return 0
-    dec = decompose(arbo)
-    if method != "exact":
-        from . import _fast
-
-        return _fast.count_type_a(pi, dec.west_tree, m,
-                                  morphism_bound(arbo.dp, n))
-    vals = pi.zero_indexed()
-    return sum(_gated_block(vals, dec.west_tree, r, m, False)
-               for r in range(m, n, m))
+    return _gated_pass(pi, arbo, m, method, type_b=False)
 
 
 def count_type_b_not_a(pi: Permutation, arbo: ArboNE, m: int,
@@ -282,19 +270,30 @@ def count_type_b_not_a(pi: Permutation, arbo: ArboNE, m: int,
     positions below the block, and a snapshot at each value-block boundary
     keeps only root placements inside the candidate's own value block.
     """
+    return _gated_pass(pi, arbo, m, method, type_b=True)
+
+
+def _gated_pass(pi: Permutation, arbo: ArboNE, m: int, method: str,
+                type_b: bool) -> int:
+    """Type A, or with type_b type B not A.
+
+    The numpy path is the _fast pass of the same name, looked up on every
+    call.  The exact path runs one _gated_block per block, with the values
+    of pi as gate coordinates for type A and those of pi's inverse for B.
+    """
     m = _check_block_args(m, method)
     n = pi.n
     if n == 0:
         return 0
     dec = decompose(arbo)
+    tree = dec.inv_west_tree if type_b else dec.west_tree
     if method != "exact":
         from . import _fast
 
-        return _fast.count_type_b_not_a(pi, dec.inv_west_tree, m,
-                                        morphism_bound(arbo.dp, n))
-    inv_vals = pi.inverse().zero_indexed()
-    return sum(_gated_block(inv_vals, dec.inv_west_tree, c, m, True)
-               for c in range(m, n, m))
+        fast = _fast.count_type_b_not_a if type_b else _fast.count_type_a
+        return fast(pi, tree, m, morphism_bound(arbo.dp, n))
+    g = (pi.inverse() if type_b else pi).zero_indexed()
+    return sum(_gated_block(g, tree, r, m, type_b) for r in range(m, n, m))
 
 
 # ---------------------------------------------------------------- box

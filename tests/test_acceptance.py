@@ -13,7 +13,6 @@ import pytest
 
 from patterncount.cli import bench_once
 from patterncount.core import (
-    Permutation,
     classify,
     pattern_count_table,
     perm,
@@ -25,7 +24,6 @@ from patterncount.counting import (
     naive_morphism_count,
 )
 from patterncount.gen3214 import (
-    build_arbo,
     count_box,
     count_gen_3214,
     count_type_a,
@@ -47,29 +45,14 @@ from patterncount.algebra import (
     rank_of_family,
     twin_tree_family,
 )
-from tests.test_core import random_double_poset
+from tests.test_core import random_double_poset, random_perm
+from tests.test_gen3214 import random_arbo
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
     suffix = f"  ({detail})" if detail else ""
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def random_perm(rng, n):
-    vals = list(range(1, n + 1))
-    rng.shuffle(vals)
-    return Permutation(tuple(vals))
-
-
-def random_arbo(rng, max_extra):
-    with_two = rng.random() < 0.7
-    base = 3 if with_two else 2
-    parents, ids = [], []
-    for _ in range(rng.randint(0, max_extra)):
-        parents.append(rng.choice(list(range(base)) + ids))
-        ids.append(base + 1 + len(ids))
-    return build_arbo(with_two, tuple(parents))
 
 
 # --------------------------------------------------------- criterion 1
@@ -318,7 +301,7 @@ def test_criterion_6_streaming_scaling():
 
     sizes = (100_000, 200_000, 400_000)
     times = {n: float("inf") for n in sizes}
-    bench_once("stream", sizes[-1], seed=70)  # touch peak memory once
+    bench_once("general", sizes[-1], seed=70)  # touch peak memory once
     gc.collect()
     gc.disable()
     try:
@@ -327,7 +310,7 @@ def test_criterion_6_streaming_scaling():
         # repetitions left it flaky on a loaded 2-vCPU machine.
         for rep in range(5):
             for n in sizes:
-                times[n] = min(times[n], bench_once("stream", n, seed=71 + rep))
+                times[n] = min(times[n], bench_once("general", n, seed=71 + rep))
     finally:
         gc.enable()
     r1 = times[200_000] / times[100_000]

@@ -11,7 +11,8 @@ import patterncount
 
 from patterncount.cli import main, parse_tree_spec, tree_spec_to_dict
 from patterncount.core import double_poset, perm, perm_to_dp
-from patterncount.counting import corner_tree_profiles
+from patterncount.counting import (as_double_poset, corner_tree_profiles,
+                                   naive_morphism_count)
 from patterncount.gen3214 import (
     bare_3214,
     build_arbo,
@@ -102,24 +103,31 @@ def test_count_block_size_bounds(write, capsys):
         assert capsys.readouterr().out.strip() == "2"
 
 
-def test_count_stream_requires_west_labels(write):
+def test_count_general_roots_any_twin_tree(write, capsys):
     perm_file = write("p.txt", "2 1 3")
-    west = {"type": "corner_tree", "root": 0, "nodes": [0, 1],
-            "edges": [[0, 1, "SW"]]}
-    assert main(["count", "--perm", perm_file,
-                 "--tree", write("w.json", west), "--algorithm", "stream"]) == 0
-    # A cherry with opposite vertical labels admits no all-west rooting.
-    bad = {"type": "sn_polytree", "nodes": [0, 1, 2],
-           "edges": [[0, 1, "S"], [2, 1, "N"]]}
-    assert main(["count", "--perm", perm_file,
-                 "--tree", write("b.json", bad), "--algorithm", "stream"]) == 3
-    # A chain whose west maximum is its last node: stream roots it there.
+    # Every rooting of a twin tree counts the same, so neither a cherry with
+    # opposite vertical labels (no all-west rooting) nor a chain whose west
+    # maximum is its last node needs a particular root.
+    cherry = {"type": "sn_polytree", "nodes": [0, 1, 2],
+              "edges": [[0, 1, "S"], [2, 1, "N"]]}
     chain = {"type": "sn_polytree", "nodes": [0, 1, 2],
              "edges": [[2, 1, "S"], [1, 0, "N"]]}
-    tree_file = write("c.json", chain)
-    for algorithm in ("stream", "general"):
-        assert main(["count", "--perm", perm_file, "--tree", tree_file,
-                     "--algorithm", algorithm]) == 0
+    for name, doc in (("cherry", cherry), ("chain", chain)):
+        tree_file = write(f"{name}.json", doc)
+        expected = naive_morphism_count(
+            as_double_poset(parse_tree_spec(doc)), perm([2, 1, 3]))
+        for algorithm in ("auto", "general"):
+            assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                         "--algorithm", algorithm]) == 0
+            assert int(capsys.readouterr().out) == expected, (name, algorithm)
+    # stream is no algorithm name: argparse rejects it with exit code 2.
+    for argv in (["count", "--perm", perm_file, "--tree", tree_file],
+                 ["bench", "--n", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--algorithm", "stream"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'stream'" in err and "Traceback" not in err
 
 
 def test_count_parse_failures(write):
@@ -398,11 +406,12 @@ def test_bench_size_below_one(sizes, capsys):
 
 
 def test_bench_smoke(capsys):
-    assert main(["bench", "--algorithm", "stream", "--n", "2000"]) == 0
+    # general is the default algorithm.
+    assert main(["bench", "--n", "2000"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")
     assert len(rows) == 1
     n, algo, ms = rows[0].split(",")
-    assert n == "2000" and algo == "stream" and float(ms) >= 0
+    assert n == "2000" and algo == "general" and float(ms) >= 0
     assert main(["bench", "--algorithm", "block", "--n", "1200", "1500"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")
     assert [r.split(",")[0] for r in rows] == ["1200", "1500"]
@@ -430,7 +439,7 @@ def test_bench_imports_numpy_before_the_first_timing():
             "    cli.bench_once = timed\n"
             "    return timed(*args)\n"
             "cli.bench_once = first\n"
-            "cli.main(['bench', '--algorithm', 'stream', '--n', '50', '60'])\n")
+            "cli.main(['bench', '--algorithm', 'general', '--n', '50', '60'])\n")
     src = str(Path(patterncount.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout

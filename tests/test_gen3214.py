@@ -40,12 +40,7 @@ from patterncount.gen3214 import (
     level5_arbos,
     validate_arbo,
 )
-
-
-def random_perm(rng, n):
-    vals = list(range(1, n + 1))
-    rng.shuffle(vals)
-    return Permutation(tuple(vals))
+from tests.test_core import random_perm
 
 
 def random_arbo(rng, max_extra=2) -> ArboNE:
@@ -53,7 +48,6 @@ def random_arbo(rng, max_extra=2) -> ArboNE:
     parents: list[int] = []
     base = 3 if with_two else 2
     hosts = list(range(base))  # spine elements below the top
-    next_id = base + 2  # first dangle id comes after spine + top... adjusted below
     ids = []
     for _ in range(rng.randint(0, max_extra)):
         parents.append(rng.choice(hosts + ids))
@@ -402,7 +396,7 @@ def test_fast_paths_match_exact_at_every_block_size(arbo):
     perms = [perm(range(1, 17)), perm(range(16, 0, -1)),
              Permutation(_layered((3, 4, 2, 5, 2))), random_perm(rng, 16),
              random_perm(rng, 13)]
-    perms += [perm([x % w * (n // w) + x // w + 1 for x in range(n)])
+    perms += [_perfect_shuffle(n, w)
               for n, w in ((16, 4), (15, 3), (15, 5), (14, 7))]
     for pi in perms:
         for m in range(1, pi.n + 2):
@@ -416,12 +410,33 @@ def test_fast_paths_match_exact_on_perfect_shuffles(n, w):
     # The perfect shuffle p[x] = (x mod w)(n / w) + floor(x / w) and its
     # inverse, at the default m and one either side of it.  The box pass
     # runs more than twice as long on them as on uniform input.
-    shuffle = perm([x % w * (n // w) + x // w + 1 for x in range(n)])
+    shuffle = _perfect_shuffle(n, w)
     m0 = default_block_size(n)
     for pi in (shuffle, shuffle.inverse()):
         for arbo in (bare_3214(), *level5_arbos()):
             for m in (m0 - 1, m0, m0 + 1):
                 for fn in (count_type_a, count_type_b_not_a, count_box):
+                    assert fn(pi, arbo, m) == fn(pi, arbo, m, method="exact"), \
+                        (fn.__name__, pi, arbo, m)
+
+
+@pytest.mark.parametrize("n", [40, 63, 77, 90])
+def test_fast_paths_match_exact_on_block_permutations(n):
+    # Random blocks of width m0 - 1, m0, m0 + 1 and 2 m0 (m0 the default m)
+    # along the diagonal or the anti-diagonal, the last block cut short, and
+    # their inverses, so block edges both align with the counting blocks and
+    # miss them.  Every (input, m) runs one member and one pass, drawn with
+    # a seed: a twelfth of all the combinations, about 2 s for the four n.
+    rng = random.Random(n)
+    m0 = default_block_size(n)
+    members = (bare_3214(), *level5_arbos())
+    for join in (_direct_sum, _skew_sum):
+        for w in (m0 - 1, m0, m0 + 1, 2 * m0):
+            blocks = _block_sum(rng, n, w, join)
+            for pi in (blocks, blocks.inverse()):
+                for m in (1, 2, m0 - 1, m0, m0 + 1, n):
+                    arbo = rng.choice(members)
+                    fn = rng.choice((count_type_a, count_type_b_not_a, count_box))
                     assert fn(pi, arbo, m) == fn(pi, arbo, m, method="exact"), \
                         (fn.__name__, pi, arbo, m)
 
@@ -684,6 +699,22 @@ def _direct_sum(a, b):
 
 def _skew_sum(a, b):
     return tuple(v + len(b) for v in a) + b
+
+
+def _block_sum(rng, n, w, join):
+    """join (_direct_sum or _skew_sum) of random blocks of width w, the last
+    one cut short when w does not divide n."""
+    out = ()
+    for lo in range(0, n, w):
+        block = list(range(1, min(w, n - lo) + 1))
+        rng.shuffle(block)
+        out = join(out, tuple(block))
+    return Permutation(out)
+
+
+def _perfect_shuffle(n, w):
+    """p[x] = (x mod w)(n / w) + floor(x / w), 1-based; w divides n."""
+    return perm([x % w * (n // w) + x // w + 1 for x in range(n)])
 
 
 def _layered(runs):
