@@ -15,13 +15,14 @@ reorganized so numpy does the work:
   NE = total - x - position prefix - key prefix + SW, where the position
   prefix sums x over earlier points and the key prefix sums x over smaller
   keys.  The scan runs on any prefix of the sequence, reading only the
-  leading runs of each level.  count_corner_trees runs it on a whole
-  permutation for a batch of trees (_Forest): each distinct (child
-  subtree, label) pair is valued once per modulus, and the edges out of one child
-  share its SW sums.  Types A and B share one gated pass, over positions for
-  type A and over values for type B; it builds one schedule whose sequence
-  follows the gate coordinate, so each block's gated points are a prefix
-  of it, and scans only that prefix for each block.
+  leading runs of each level, and reads the prefix in place.
+  count_corner_trees runs it on a whole permutation for a batch of trees
+  (_Forest): each distinct (child subtree, label) pair is valued once per
+  modulus, and the edges out of one child share its SW sums.  Types A and
+  B share one gated pass, over positions for type A and over values for
+  type B; it builds one schedule whose sequence follows the gate
+  coordinate, so each block's gated points are a prefix of it, and scans
+  only that prefix for each block.
 * The box pass weighs its triples with the root values of one dangle tree
   per anchor, each from one scan of the whole permutation.  It takes one
   position block at a time: it lists the block's (four, three, one)
@@ -134,7 +135,7 @@ class _SplitSchedule:
         """keys must be a permutation of 0..t-1."""
         t = len(keys)
         size = 1 << max(t - 1, 0).bit_length()
-        self.t, self.size = t, size
+        self.t = t
         # The key order, padded with the keys t..size-1 in their own slots.
         self._order0 = np.arange(size, dtype=np.int32)
         self._order0[keys] = np.arange(t, dtype=np.int32)
@@ -172,20 +173,15 @@ class _SplitSchedule:
 
         The prefix lies in the first ceil(stop / 2h) runs of each level,
         which lead the level's arrays, and a level with h >= stop adds
-        nothing to it, since its first run's rights all lie past it.
+        nothing to it, since its first run's rights all lie past it.  x is
+        read in place with clipped indices, which is exact: a right at
+        sequence index i < stop reads only the lefts of its own run, which
+        all lie before i, and a run whose lefts reach past stop has all of
+        its rights past stop as well, so a clipped read only reaches z
+        entries that z[:stop] drops.
         """
         stop = len(x)
-        if stop == 0:
-            return np.zeros(0, dtype=np.int64)
         span = 1 << (stop - 1).bit_length()  # every read run ends by span
-        if stop == self.t:
-            # The padding keys t..size-1 sort after every point's key in
-            # their runs, so no point sums what a padding left reads: x
-            # serves as it is, read with clipped indices.
-            xp = x
-        else:
-            xp = np.zeros(span, dtype=np.int64)
-            xp[:stop] = x
         z = np.zeros(span, dtype=np.int64)
         table = np.empty(span, dtype=np.int64)
         for h, lefts, rights, at in self._levels:
@@ -195,7 +191,7 @@ class _SplitSchedule:
             k = runs * h
             cx = table[:runs * (h + 1)].reshape(-1, h + 1)
             cx[:, 0] = 0
-            np.cumsum(xp.take(lefts[:k], mode="clip").reshape(-1, h), axis=1,
+            np.cumsum(x.take(lefts[:k], mode="clip").reshape(-1, h), axis=1,
                       out=cx[:, 1:])
             np.add.at(z, rights[:k], table.take(at[:k]))
         # A table entry sums at most h reduced values of one run, and each
@@ -217,20 +213,12 @@ class _SplitSchedule:
         return s
 
 
-def _south_west(schedule: _SplitSchedule, x: np.ndarray | None, q: int,
-                stop: int) -> np.ndarray:
-    """The SW sums of x over the first stop points of the sequence, reduced;
-    x is None for a single node, which counts one."""
-    if x is None:
-        return schedule.ones_smaller(stop)
-    return schedule.dominance_smaller(x, q)
-
-
 def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None,
                  sw: np.ndarray, label: str, q: int) -> np.ndarray:
     """Sum of x over the points in each point's label quadrant, among the
     first stop = len(sw) points of the sequence, reduced, given their SW
-    sums sw = _south_west(schedule, x, q, stop).
+    sums sw: schedule.ones_smaller(stop) for x None, which stands for all
+    ones, else schedule.dominance_smaller(x, q).
 
     Every quadrant comes from the SW sums and the position and key prefix
     sums; each term sums at most stop reduced values, so it stays below
@@ -307,8 +295,10 @@ class _Forest:
                 else:
                     child, label = edge
                     if child not in sws:
-                        sws[child] = _south_west(schedule, values[child], q,
-                                                 stop)
+                        sws[child] = (
+                            schedule.ones_smaller(stop)
+                            if values[child] is None
+                            else schedule.dominance_smaller(values[child], q))
                     z = _corner_sums(schedule, values[child], sws[child],
                                      label, q)
                     value_reads[child] -= 1
@@ -444,13 +434,14 @@ def _gated_pass(pi: Permutation, tree: CornerTree, m: int, bound: int,
     by_scan = np.zeros(n, dtype=np.int64)  # root values by scan index
     for r in range(m, n, m):
         cand = scan[r:min(r + m, n)]
-        start = cand - cand % m if own_block else np.zeros_like(cand)
         for k, q in enumerate(moduli):
             # The gated sets grow with r, so this overwrites every entry
             # that an earlier block wrote.
             by_scan[scan[:r]] = forest.root_values(schedule, q, r)[0]
             croots = _prefix_sums(by_scan, q)
-            totals[k] += int(croots[cand].sum()) - int(croots[start].sum())
+            totals[k] += int(croots[cand].sum())
+            if own_block:
+                totals[k] -= int(croots[cand - cand % m].sum())
     return _crt(totals, moduli)
 
 

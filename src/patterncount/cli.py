@@ -218,9 +218,6 @@ def _random_permutation(rng: random.Random, n: int) -> Permutation:
     return Permutation(tuple(vals))
 
 
-_LABELS = ("NE", "NW", "SE", "SW")
-
-
 def _random_corner_tree(rng: random.Random, k: int, labels) -> trees.CornerTree:
     return trees.CornerTree(0, tuple((rng.randrange(c), c, rng.choice(labels))
                                      for c in range(1, k)))
@@ -267,7 +264,7 @@ def cmd_selftest(args) -> int:
 
     ok = True
     for _ in range(25):
-        ct = _random_corner_tree(rng, rng.randint(1, 4), _LABELS)
+        ct = _random_corner_tree(rng, rng.randint(1, 4), trees.CORNER_LABELS)
         pi = _random_permutation(rng, rng.randint(1, 10))
         ok &= counting.count_corner_tree(pi, ct) == \
             counting.naive_corner_tree_count(pi, ct)
@@ -276,7 +273,7 @@ def cmd_selftest(args) -> int:
     ok = True
     for _ in range(20):
         # Longer sequences than above, through eight to ten split levels.
-        ct = _random_corner_tree(rng, rng.randint(2, 5), _LABELS)
+        ct = _random_corner_tree(rng, rng.randint(2, 5), trees.CORNER_LABELS)
         pi = _random_permutation(rng, rng.randint(129, 600))
         ok &= counting.count_corner_tree(pi, ct) == \
             sum(counting.corner_tree_profiles(pi, ct)[0][ct.root])

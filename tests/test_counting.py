@@ -290,6 +290,31 @@ def test_prefix_sums_match_quadratic_sums(t):
             [sum(keys[j] < keys[i] for j in range(i)) for i in range(stop)]
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 33, 64, 65])
+def test_every_prefix_sums_match_quadratic_sums(t):
+    # Every stop, so that the last run read at each level ends at, inside
+    # or past the prefix.  Every x entry is nonzero: a clipped read of
+    # x[stop - 1] in place of a left past the prefix would change a sum.
+    rng = random.Random(300 + t)
+    keys = list(range(t))
+    rng.shuffle(keys)
+    schedule = _fast._SplitSchedule(np.array(keys, dtype=np.int64))
+    ones = [sum(keys[j] < keys[i] for j in range(i)) for i in range(t)]
+    for q in (2 ** 64, _fast._moduli(2 ** 64)[1]):
+        x = [rng.randrange(1, min(q, 2 ** 63)) for _ in range(t)]
+        smaller = [sum(x[j] for j in range(i) if keys[j] < keys[i]) % q
+                   for i in range(t)]
+        for stop in range(t + 1):
+            xs = np.array(x[:stop], dtype=np.int64)
+            below = [sum(x[j] for j in range(stop) if keys[j] < keys[i]) % q
+                     for i in range(stop)]
+            assert [v % q for v in schedule.dominance_smaller(xs, q).tolist()] \
+                == smaller[:stop], (stop, q)
+            assert [v % q for v in schedule.key_prefix(xs).tolist()] == \
+                below, (stop, q)
+            assert schedule.ones_smaller(stop).tolist() == ones[:stop], stop
+
+
 def _fenwick_smaller(keys, x):
     """z[i] = sum of x[j] over j < i with keys[j] < keys[i], by one SumTree scan."""
     tree, z = SumTree(len(keys)), []

@@ -729,12 +729,25 @@ _sums = st.recursive(
     lambda inner: st.tuples(st.sampled_from([_direct_sum, _skew_sum]),
                             inner, inner).map(lambda t: t[0](t[1], t[2])),
     max_leaves=4)
+_shuffles = st.integers(1, 9).flatmap(lambda n: st.builds(
+    _perfect_shuffle, st.just(n),
+    st.sampled_from([w for w in range(1, n + 1) if n % w == 0])))
+# Random blocks of width 2-4, the last one cut short.
+_block_sums = st.integers(2, 4).flatmap(lambda w: st.builds(
+    _block_sum, st.randoms(use_true_random=False),
+    st.integers(1, 9).filter(lambda n: n % w), st.just(w),
+    st.sampled_from([_direct_sum, _skew_sum])))
 structured_perms = st.one_of(
-    st.integers(1, 9).map(lambda n: tuple(range(1, n + 1))),
-    st.integers(1, 9).map(lambda n: tuple(range(n, 0, -1))),
-    st.lists(st.integers(1, 3), min_size=1, max_size=4).map(_layered),
-    _sums.filter(lambda v: len(v) <= 9),
-).map(Permutation)
+    st.one_of(
+        st.integers(1, 9).map(lambda n: tuple(range(1, n + 1))),
+        st.integers(1, 9).map(lambda n: tuple(range(n, 0, -1))),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(_layered),
+        _sums.filter(lambda v: len(v) <= 9),
+    ).map(Permutation),
+    _shuffles,
+    _shuffles.map(Permutation.inverse),
+    _block_sums,
+)
 
 
 # Members with a dangle below one (0, 0) and a two-edge dangle below three
