@@ -14,18 +14,27 @@ checks search maps one target at a time, all through core._iter_morphisms:
 count_epis counts its surjective maps, morphism_class_counts and
 check_factorization classify every map it yields.  Pattern vectors do not: a
 surjective morphism onto a permutation is a pair of chain surjections of
-the two orders with the same kernel, so each order's chain surjections are
-enumerated once and paired by kernel, and the work is the sum of the
-vector's coefficients.
+the two orders with the same kernel, so the chain surjections of each
+distinct order are enumerated once (and cached, since a family repeats its
+orders) and paired by kernel, and the work is the sum of the vector's
+coefficients.
+
+Ranks are exact: rank_of_family fills one integer row per family member
+from _pattern_counts, the coefficients keyed by value tuples, and
+_integer_rank eliminates fraction-free with gcd reduction, dropping each
+eliminated column and every row that reaches zero, so its updates narrow
+as it goes.  Nothing on the rank path imports numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
+from operator import itemgetter
 
 from .core import (
     DoublePoset,
@@ -298,14 +307,19 @@ def phi_mono_from_mor(d: DoublePoset) -> DPVector:
     return DPVector(terms)
 
 
-def _chain_surjections(order: StrictPoset) -> dict[tuple, list[tuple[int, ...]]]:
+@lru_cache(maxsize=1024)
+def _chain_surjections(order: StrictPoset) -> dict[tuple, tuple[tuple[int, ...], ...]]:
     """Order-preserving surjections of `order` onto chains, keyed by kernel.
 
-    A surjection onto 0..k-1 is its sequence of fibres (levels), each a
+    A surjection onto 1..k is its sequence of fibres (levels), each a
     bitmask of elements; level i is a non-empty set of unplaced elements
     whose predecessors all sit on levels below i.  The kernel key is the
-    sorted tuple of fibres, and each surjection is stored as the level of
-    every fibre in key order.
+    sorted tuple of fibres, and each surjection is stored as the level,
+    counted from 1, of every fibre in key order.
+
+    Equal orders share one enumeration: a family's west and south orders
+    repeat (the level-5 rank family has 804 of them, 183 distinct), so the
+    result is cached, and callers must only read it.
     """
     n = order.n
     below = order.below
@@ -316,7 +330,7 @@ def _chain_surjections(order: StrictPoset) -> dict[tuple, list[tuple[int, ...]]]
     def extend(placed: int):
         if placed == full:
             key = tuple(sorted(levels))
-            level_of = {mask: i for i, mask in enumerate(levels)}
+            level_of = {mask: i for i, mask in enumerate(levels, 1)}
             out.setdefault(key, []).append(tuple(level_of[m] for m in key))
             return
         ready = 0
@@ -331,7 +345,39 @@ def _chain_surjections(order: StrictPoset) -> dict[tuple, list[tuple[int, ...]]]
             sub = (sub - 1) & ready
 
     extend(0)
-    return out
+    return {key: tuple(found) for key, found in out.items()}
+
+
+def _pattern_counts(d: DoublePoset) -> Counter:
+    """pattern_vector's coefficients, keyed by the permutations' value tuples.
+
+    A surjective morphism onto perm_to_dp(sigma), sigma in S_k, is a pair
+    of order-preserving surjections of the west and of the south order onto
+    the chain 1..k with the same kernel: sigma lists the south levels of
+    the fibres in west-level order.  For each west surjection of a kernel,
+    one itemgetter reads sigma off every south surjection of that kernel,
+    so the work is the sum of the coefficients.
+    """
+    if d.n > _ENUM_CAP:
+        raise TooLarge(f"pattern vector cap is {_ENUM_CAP} elements")
+    counts: Counter = Counter()
+    if d.n == 0:
+        return counts
+    south = _chain_surjections(d.south)
+    for kernel, west_levels in _chain_surjections(d.west).items():
+        south_levels = south.get(kernel)
+        if not south_levels:
+            continue
+        if len(kernel) == 1:
+            # Both orders are antichains: one map each, onto the pattern 1.
+            counts[(1,)] += 1
+            continue
+        for w in west_levels:
+            fibre_at = [0] * len(kernel)
+            for b, level in enumerate(w):
+                fibre_at[level - 1] = b
+            counts.update(map(itemgetter(*fibre_at), south_levels))
+    return counts
 
 
 def pattern_vector(d: DoublePoset) -> PatternVector:
@@ -339,36 +385,11 @@ def pattern_vector(d: DoublePoset) -> PatternVector:
 
     Coefficient of sigma is the number of surjective morphisms onto the
     permutation's double poset; pairing the vector with the pattern counts
-    of any permutation gives |Mor(d, perm)|.
-
-    A surjective morphism onto perm_to_dp(sigma), sigma in S_k, is a pair
-    of order-preserving surjections of the west and of the south order onto
-    the chain 0..k-1 with the same kernel: sigma lists the south levels of
-    the fibres in west-level order.  Each order's chain surjections are
-    enumerated once and bucketed by kernel, and every west/south pair that
-    shares a kernel adds 1 at its sigma, so the work is the sum of the
-    coefficients.
+    of any permutation gives |Mor(d, perm)|.  The coefficients come from
+    pairing the chain surjections of the two orders by kernel
+    (_pattern_counts).
     """
-    if d.n > _ENUM_CAP:
-        raise TooLarge(f"pattern vector cap is {_ENUM_CAP} elements")
-    if d.n == 0:
-        return PatternVector({})
-    west = _chain_surjections(d.west)
-    south = _chain_surjections(d.south)
-    counts: dict[tuple[int, ...], int] = {}
-    for kernel, west_levels in west.items():
-        south_levels = south.get(kernel)
-        if not south_levels:
-            continue
-        blocks = range(len(kernel))
-        for w in west_levels:
-            fibre_at = [0] * len(kernel)
-            for b in blocks:
-                fibre_at[w[b]] = b
-            for s in south_levels:
-                vals = tuple(s[b] + 1 for b in fibre_at)
-                counts[vals] = counts.get(vals, 0) + 1
-    return PatternVector({Permutation(v): c for v, c in counts.items()})
+    return PatternVector({Permutation(v): c for v, c in _pattern_counts(d).items()})
 
 
 # -------------------------------------------------------- factorization
@@ -468,65 +489,69 @@ class RankResult:
 
 
 def _integer_rank(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination with per-row gcd reduction."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
+    """Rank over Q by fraction-free elimination that narrows as it goes.
+
+    Columns are eliminated from the first to the last.  The pivot for a
+    column is the first live row that is nonzero there; every other live
+    row r with entry f there becomes piv * r - f * pivot on the columns
+    that remain, divided by the gcd of its entries.  Each step drops the
+    eliminated column from every row (rows are held reversed, so that is a
+    pop), retires the pivot row and drops rows that reach zero, so later
+    updates span only the live rows and columns.  The rank is the number of
+    pivots.  The argument is not modified.
+    """
+    rows = [list(reversed(r)) for r in rows if any(r)]
     rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    while rows:
+        pivot = next((r for r in rows if r[-1]), None)
+        if pivot is None:
+            for r in rows:
+                r.pop()
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if not f:
+        piv = pivot.pop()
+        live = []
+        for r in rows:
+            if r is pivot:
                 continue
-            row = [piv * a - f * b for a, b in zip(rows[i], rows[rank])]
-            g = gcd(*row)
-            if g > 1:
-                row = [a // g for a in row]
-            rows[i] = row
+            f = r.pop()
+            if f:
+                r = [piv * a - f * b for a, b in zip(r, pivot)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [a // g for a in r]
+            live.append(r)
+        rows = live
         rank += 1
-        if rank == cols:
-            break
     return rank
 
 
-def _permutations_up_to(k: int) -> list[Permutation]:
-    out = []
-    for size in range(1, k + 1):
-        for vals in itertools.permutations(range(1, size + 1)):
-            out.append(Permutation(vals))
-    return out
-
-
 def rank_of_family(family, top_level: int) -> RankResult:
-    """Exact dimensions of the span of the family's pattern vectors."""
+    """Exact dimensions of the span of the family's pattern vectors.
+
+    Row i holds family member i's pattern-vector coefficients over every
+    permutation of size 1..top_level, ordered by size; the span, the
+    lower-level block and the top-level block are each ranked by
+    _integer_rank.
+    """
     if top_level > RANK_LEVEL_CAP:
         raise TooLarge(f"rank computations are capped at level {RANK_LEVEL_CAP}")
-    columns = _permutations_up_to(top_level)
-    col_idx = {p: i for i, p in enumerate(columns)}
-    low_cols = [i for i, p in enumerate(columns) if p.n < top_level]
-    top_cols = [i for i, p in enumerate(columns) if p.n == top_level]
+    columns = [vals for size in range(1, top_level + 1)
+               for vals in itertools.permutations(range(1, size + 1))]
+    col_idx = {vals: i for i, vals in enumerate(columns)}
+    n_low = sum(factorial(size) for size in range(1, top_level))
     rows = []
     for d in family:
         if d.n > top_level:
             raise TooLarge("family member exceeds the requested level")
-        vec = pattern_vector(d)
         row = [0] * len(columns)
-        for p, c in vec.items():
-            row[col_idx[p]] = c
+        for vals, c in _pattern_counts(d).items():
+            row[col_idx[vals]] = c
         rows.append(row)
     dim_span = _integer_rank(rows)
-    dim_low = _integer_rank([[r[i] for i in low_cols] for r in rows])
-    dim_top = _integer_rank([[r[i] for i in top_cols] for r in rows])
+    dim_low = _integer_rank([r[:n_low] for r in rows])
+    dim_top = _integer_rank([r[n_low:] for r in rows])
     return RankResult(dim_span, dim_top, dim_span - dim_low)
 
 

@@ -195,7 +195,8 @@ def cmd_rank(args) -> int:
                            if d.n <= args.max_level]
     result = algebra.rank_of_family(family, args.max_level)
     print(json.dumps({"dim_span": result.dim_span,
-                      "dim_top": result.dim_top_intersection}))
+                      "dim_top": result.dim_top_intersection,
+                      "dim_top_strict": result.dim_top_strict}))
     return 0
 
 

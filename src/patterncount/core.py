@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Sequence
@@ -51,8 +52,18 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.values)
-        if sorted(self.values) != list(range(1, n + 1)):
+        # Values are held as a tuple, so the permutation hashes.  Entries must
+        # be integers (anything operator.index takes, numpy integers too); n
+        # distinct ones between 1 and n are a bijection.
+        try:
+            values = tuple(self.values)
+            seen = set(map(operator.index, values))
+        except TypeError:
+            raise InvalidInput(
+                f"not a sequence of integers: {self.values!r}") from None
+        object.__setattr__(self, "values", values)
+        n = len(values)
+        if len(seen) != n or (n and (min(seen) != 1 or max(seen) != n)):
             raise InvalidInput(f"not a bijection of 1..{n}: {self.values!r}")
 
     @property

@@ -375,3 +375,85 @@ def test_integer_rank_basics():
     assert _integer_rank([[2, 4], [1, 2]]) == 1
     assert _integer_rank([[1, 0, 3], [0, 5, 1], [1, 5, 4]]) == 2
     assert _integer_rank([[3, 1], [1, 1]]) == 2
+
+
+def fraction_rank(rows: list[list[int]]) -> int:
+    """Gauss-Jordan elimination over Fraction, the oracle for _integer_rank."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        m[rank] = [a / m[rank][col] for a in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_rank_matrix(rng: random.Random, n_rows: int, n_cols: int) -> list[list[int]]:
+    """Small, huge or low-rank entries, then zero and duplicate rows mixed in."""
+    kind = rng.choice(("small", "huge", "low rank", "low rank huge"))
+    if kind.startswith("low rank"):
+        r = rng.randint(0, min(n_rows, n_cols))
+        scale = 2 ** 66 if kind.endswith("huge") else 1
+        left = [[rng.randint(-3, 3) * scale for _ in range(r)] for _ in range(n_rows)]
+        right = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(r)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r
+                else [0] * n_cols for row in left]
+    else:
+        bound = 2 ** 70 if kind == "huge" else 4
+        rows = [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0
+                 for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * n_cols)
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square", "any"])
+def test_integer_rank_matches_fraction_oracle(shape):
+    from patterncount.algebra import _integer_rank
+
+    rng = random.Random(f"integer-rank-{shape}")
+    for _ in range(150):
+        a, b = sorted((rng.randint(1, 12), rng.randint(1, 12)))
+        n_rows, n_cols = {"tall": (b, a), "wide": (a, b), "square": (b, b),
+                          "any": (rng.randint(1, 12), rng.randint(1, 12))}[shape]
+        rows = random_rank_matrix(rng, n_rows, n_cols)
+        before = [list(r) for r in rows]
+        assert _integer_rank(rows) == fraction_rank(rows), rows
+        assert rows == before
+
+
+@pytest.mark.parametrize("family, level, expected", [
+    (lambda: twin_tree_family(4), 4, (32, 23, 23)),
+    (lambda: twin_tree_family(5), 5, (132, 100, 99)),
+    (lambda: twin_tree_family(5) + list(new_direction_family()), 5, (138, 106, 105)),
+], ids=["twin-4", "twin-5", "twin-5-new"])
+def test_rank_results_pinned(family, level, expected):
+    r = rank_of_family(family(), level)
+    assert (r.dim_span, r.dim_top_intersection, r.dim_top_strict) == expected
+
+
+def test_rank_does_not_import_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import patterncount
+
+    code = ("import sys\n"
+            "from patterncount import rank_of_family, twin_tree_family\n"
+            "rank_of_family(twin_tree_family(3), 3)\n"
+            "print('numpy' in sys.modules)\n")
+    src = str(Path(patterncount.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -284,12 +284,14 @@ def test_pattern_vector_size_cap(write):
 
 def test_rank_level2(write, capsys):
     assert main(["rank", "--max-level", "2"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"dim_span": 3, "dim_top": 2}
+    assert json.loads(capsys.readouterr().out) == {"dim_span": 3, "dim_top": 2,
+                                                   "dim_top_strict": 2}
 
 
 def test_rank_level5_with_new_directions(capsys):
     assert main(["rank", "--max-level", "5", "--include-new"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"dim_span": 138, "dim_top": 106}
+    assert json.loads(capsys.readouterr().out) == {"dim_span": 138, "dim_top": 106,
+                                                   "dim_top_strict": 105}
 
 
 def test_rank_cap(monkeypatch, capsys):

@@ -82,6 +82,22 @@ def test_permutation_rejects_non_bijection():
         Permutation((1, 3, 3))
 
 
+@pytest.mark.parametrize("values", [(1, "a"), ("1",), (1.0,), (2, 1.0), (None,),
+                                    (1, None), (2, 2), (0,), (0, 1), (1, 3), 5, None])
+def test_permutation_rejects_bad_entries(values):
+    with pytest.raises(InvalidInput):
+        Permutation(values)
+
+
+def test_permutation_accepts_numpy_integers_and_lists():
+    np = pytest.importorskip("numpy")
+    p = Permutation(tuple(np.array([2, 3, 1])))
+    assert p == perm([2, 3, 1]) and p.inverse() == perm([3, 1, 2])
+    q = Permutation([2, 3, 1])
+    assert q.values == (2, 3, 1) and hash(q) == hash(perm([2, 3, 1]))
+    assert Permutation(()).n == 0
+
+
 def test_permutation_call_outside_positions():
     p = perm([2, 3, 1])
     assert [p(i) for i in (1, 2, 3)] == [2, 3, 1]
