@@ -48,7 +48,7 @@ the _SplitSchedule on each, built the first time a pass asks for it, so one
 schedule serves every modulus, every tree and every later pass on the same
 Permutation object.  The slot empties before it is filled for another
 object, and when its permutation is garbage-collected.  At n = 100 000 it
-holds 15.2 MB with the schedule on p alone (corner trees) and 30.4 MB with
+holds 10.8 MB with the schedule on p alone (corner trees) and 21.5 MB with
 both schedules (a family member).  Only data derived from the permutation is
 kept: counts, root values and subtree values are computed afresh by every
 call.
@@ -56,7 +56,6 @@ call.
 
 from __future__ import annotations
 
-import math
 import weakref
 from collections import Counter
 from functools import cached_property, lru_cache
@@ -75,11 +74,34 @@ class Int64Risk(Exception):
     pass
 
 
+def _is_prime(c: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for c below 4 759 123 141:
+    bases 2, 7 and 61 admit no strong pseudoprime there."""
+    if c < 2 or c % 2 == 0:
+        return c == 2
+    d, s = c - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        if a % c == 0:  # c is the base itself
+            continue
+        x = pow(a, d, c)
+        if x in (1, c - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _prime_below(c: int) -> int:
-    """Largest prime below c, by trial division (once per process)."""
+    """Largest prime below c <= 2^31."""
     c -= 1
-    while any(c % d == 0 for d in range(2, math.isqrt(c) + 1)):
+    while not _is_prime(c):
         c -= 1
     return c
 
@@ -122,13 +144,17 @@ class _SplitSchedule:
     indices [r * s, (r + 1) * s) sorted by key.  An index in the run's lower
     half is a left, one in its upper half a right, and the split's SW
     contribution to a right is the sum of x over the lefts sorted before it
-    in its run.  Each level keeps three half-size arrays: lefts and rights,
-    the sequence indices of each half in slot order, and at, each right's
-    flat index into a zero-padded (runs, h + 1) table of the in-run prefix
-    sums of x at the lefts.  The next level's slots are each run's lefts
-    followed by its rights, and the levels go down to runs of two.  The
-    all-ones transform falls out of the construction pass and is stored;
-    each further transform replays the stored levels.
+    in its run.  Each level keeps two half-size int32 arrays: lefts, the
+    sequence indices of the lower halves in slot order, and at, each
+    right's flat index into a zero-padded (runs, h + 1) table of the in-run
+    prefix sums of x at the lefts.  The rights are implied: they are the
+    sequence indices with bit h set, and at lists them in sequence order,
+    so the c-th right is ((c >> b) << (b + 1)) | h | (c & (h - 1)) for
+    h = 2^b, and a level's reads land on the upper half of each run of z.
+    The next level's slots are each run's lefts followed by its rights, and
+    the levels go down to runs of two.  The all-ones transform falls out of
+    the construction pass and is stored; each further transform replays the
+    stored levels.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -153,10 +179,15 @@ class _SplitSchedule:
             rights = order.take(j)
             j -= i  # lefts sorted before each right slot, over all runs
             r = i >> (h.bit_length() - 1)  # each right's run, of h rights each
-            at = j + r
             j -= r * h  # lefts sorted before each right in its own run
-            np.add.at(ones, rights, j)
-            self._levels.append((h, lefts, rights, at))
+            # Those counts by sequence index, zero at the lefts: the all-ones
+            # transform's share of this level, and at on the upper halves.
+            by_index = np.zeros(size, dtype=np.int32)
+            by_index[rights] = j
+            ones += by_index
+            at = by_index.reshape(-1, s)[:, h:].ravel()
+            at += r * (h + 1)  # each right's flat table index
+            self._levels.append((h, lefts, at))
             order = np.stack((lefts.reshape(-1, h), rights.reshape(-1, h)),
                              axis=1).ravel()
             s = h
@@ -171,20 +202,20 @@ class _SplitSchedule:
         of modulus q, for the first stop = len(x) points of the sequence; x
         must be reduced.
 
-        The prefix lies in the first ceil(stop / 2h) runs of each level,
-        which lead the level's arrays, and a level with h >= stop adds
-        nothing to it, since its first run's rights all lie past it.  x is
-        read in place with clipped indices, which is exact: a right at
-        sequence index i < stop reads only the lefts of its own run, which
-        all lie before i, and a run whose lefts reach past stop has all of
-        its rights past stop as well, so a clipped read only reaches z
-        entries that z[:stop] drops.
+        The prefix lies in the first runs = ceil(stop / 2h) runs of each
+        level, which lead the level's arrays and end by span, and a level
+        with h >= stop adds nothing to it, since its first run's rights all
+        lie past it.  x is read in place with clipped indices, which is
+        exact: a right at sequence index i < stop reads only the lefts of
+        its own run, which all lie before i, and a run whose lefts reach
+        past stop has all of its rights past stop as well, so a clipped
+        read only lands in z entries that z[:stop] drops.
         """
         stop = len(x)
         span = 1 << (stop - 1).bit_length()  # every read run ends by span
         z = np.zeros(span, dtype=np.int64)
         table = np.empty(span, dtype=np.int64)
-        for h, lefts, rights, at in self._levels:
+        for h, lefts, at in self._levels:
             if h >= stop:
                 continue
             runs = -(-stop // (2 * h))
@@ -193,7 +224,8 @@ class _SplitSchedule:
             cx[:, 0] = 0
             np.cumsum(x.take(lefts[:k], mode="clip").reshape(-1, h), axis=1,
                       out=cx[:, 1:])
-            np.add.at(z, rights[:k], table.take(at[:k]))
+            z[:2 * k].reshape(runs, 2 * h)[:, h:] += \
+                table.take(at[:k]).reshape(runs, h)
         # A table entry sums at most h reduced values of one run, and each
         # z[i] sums fewer than stop reduced values over all levels, so it
         # stays below stop * q.

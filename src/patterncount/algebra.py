@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 from operator import itemgetter
+from types import MappingProxyType
 
 from .core import (
     DoublePoset,
@@ -308,7 +310,7 @@ def phi_mono_from_mor(d: DoublePoset) -> DPVector:
 
 
 @lru_cache(maxsize=1024)
-def _chain_surjections(order: StrictPoset) -> dict[tuple, tuple[tuple[int, ...], ...]]:
+def _chain_surjections(order: StrictPoset) -> Mapping[tuple, tuple[tuple[int, ...], ...]]:
     """Order-preserving surjections of `order` onto chains, keyed by kernel.
 
     A surjection onto 1..k is its sequence of fibres (levels), each a
@@ -319,7 +321,7 @@ def _chain_surjections(order: StrictPoset) -> dict[tuple, tuple[tuple[int, ...],
 
     Equal orders share one enumeration: a family's west and south orders
     repeat (the level-5 rank family has 804 of them, 183 distinct), so the
-    result is cached, and callers must only read it.
+    result is cached, and every caller gets the same read-only mapping.
     """
     n = order.n
     below = order.below
@@ -345,7 +347,7 @@ def _chain_surjections(order: StrictPoset) -> dict[tuple, tuple[tuple[int, ...],
             sub = (sub - 1) & ready
 
     extend(0)
-    return {key: tuple(found) for key, found in out.items()}
+    return MappingProxyType({key: tuple(found) for key, found in out.items()})
 
 
 def _pattern_counts(d: DoublePoset) -> Counter:
@@ -488,7 +490,7 @@ class RankResult:
     dim_top_strict: int
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
+def _integer_rank(rows: list[list[int]], split: int | None = None):
     """Rank over Q by fraction-free elimination that narrows as it goes.
 
     Columns are eliminated from the first to the last.  The pivot for a
@@ -499,10 +501,17 @@ def _integer_rank(rows: list[list[int]]) -> int:
     pop), retires the pivot row and drops rows that reach zero, so later
     updates span only the live rows and columns.  The rank is the number of
     pivots.  The argument is not modified.
+
+    With split, returns (rank, pivots among the first split columns); the
+    second is the rank of those columns alone, since the elimination
+    reduces them to echelon form before it reads any later column.
     """
     rows = [list(reversed(r)) for r in rows if any(r)]
-    rank = 0
+    rank = low = col = 0
     while rows:
+        if col == split:
+            low = rank
+        col += 1
         pivot = next((r for r in rows if r[-1]), None)
         if pivot is None:
             for r in rows:
@@ -524,16 +533,19 @@ def _integer_rank(rows: list[list[int]]) -> int:
             live.append(r)
         rows = live
         rank += 1
-    return rank
+    if split is None:
+        return rank
+    return rank, rank if col <= split else low
 
 
 def rank_of_family(family, top_level: int) -> RankResult:
     """Exact dimensions of the span of the family's pattern vectors.
 
     Row i holds family member i's pattern-vector coefficients over every
-    permutation of size 1..top_level, ordered by size; the span, the
-    lower-level block and the top-level block are each ranked by
-    _integer_rank.
+    permutation of size 1..top_level, ordered by size.  One elimination of
+    the whole rows ranks the span and, at the split before the top level,
+    the lower-level block; a second ranks the top-level block.  Both run
+    through _integer_rank.
     """
     if top_level > RANK_LEVEL_CAP:
         raise TooLarge(f"rank computations are capped at level {RANK_LEVEL_CAP}")
@@ -549,8 +561,7 @@ def rank_of_family(family, top_level: int) -> RankResult:
         for vals, c in _pattern_counts(d).items():
             row[col_idx[vals]] = c
         rows.append(row)
-    dim_span = _integer_rank(rows)
-    dim_low = _integer_rank([r[:n_low] for r in rows])
+    dim_span, dim_low = _integer_rank(rows, split=n_low)
     dim_top = _integer_rank([r[n_low:] for r in rows])
     return RankResult(dim_span, dim_top, dim_span - dim_low)
 

@@ -14,7 +14,7 @@ and the total, corrected by that SW sum.  Counts are exact: the engine works
 in ring arithmetic under an a-priori bound on the counts, the largest
 core.morphism_bound of the trees' double posets, and recombines the residues
 by the Chinese remainder theorem.  It keeps the numpy data of the last
-permutation counted (the value order and its merge schedule, 15.2 MB at
+permutation counted (the value order and its merge schedule, 10.8 MB at
 n = 100 000) until a count on another Permutation object or until that
 permutation is gone, so repeated counts on one permutation build it once.
 Counts themselves are never cached: every call recomputes them.

@@ -431,6 +431,38 @@ def test_integer_rank_matches_fraction_oracle(shape):
         assert rows == before
 
 
+@pytest.mark.parametrize("shape", ["tall", "wide", "any"])
+def test_integer_rank_split_counts_the_left_block(shape):
+    # The pivots among the first split columns rank the left block alone;
+    # splits run from 0 to past the last column.
+    from patterncount.algebra import _integer_rank
+
+    rng = random.Random(f"integer-rank-split-{shape}")
+    for _ in range(150):
+        a, b = sorted((rng.randint(1, 12), rng.randint(1, 12)))
+        n_rows, n_cols = {"tall": (b, a), "wide": (a, b),
+                          "any": (rng.randint(1, 12), rng.randint(1, 12))}[shape]
+        rows = random_rank_matrix(rng, n_rows, n_cols)
+        split = rng.randint(0, n_cols + 1)
+        assert _integer_rank(rows, split=split) == \
+            (fraction_rank(rows), fraction_rank([r[:split] for r in rows])), \
+            (rows, split)
+
+
+def test_chain_surjections_are_read_only():
+    from patterncount.algebra import _chain_surjections
+
+    d = twin_tree_family(4)[-1]
+    before = pattern_vector(d)
+    found = _chain_surjections(d.west)
+    assert found is _chain_surjections(d.west)
+    with pytest.raises(TypeError):
+        found[()] = ()
+    with pytest.raises(TypeError):
+        del found[next(iter(found))]
+    assert pattern_vector(d) == before
+
+
 @pytest.mark.parametrize("family, level, expected", [
     (lambda: twin_tree_family(4), 4, (32, 23, 23)),
     (lambda: twin_tree_family(5), 5, (132, 100, 99)),

@@ -360,6 +360,57 @@ def test_schedule_sums_match_fenwick_sums(t):
     assert schedule.key_prefix(top).tolist() == [k * (q - 1) for k in keys]
 
 
+@pytest.mark.parametrize("t", [1000, 4097, 65_537])
+def test_random_prefix_sums_match_fenwick_sums(t):
+    # Prefixes that end inside a run at most levels, so the last run read is
+    # partial at sizes far above the every-prefix test.  Every x entry is
+    # nonzero, so a read that a run skips or a clipped read that a prefix
+    # keeps changes a sum.  A point's sum only reads earlier points, so each
+    # prefix's sums are the leading sums of the whole sequence.
+    rng = random.Random(500 + t)
+    keys = list(range(t))
+    rng.shuffle(keys)
+    schedule = _fast._SplitSchedule(np.array(keys, dtype=np.int64))
+    stops = rng.sample(range(1, t + 1), 20)
+    for q in (2 ** 64, _fast._moduli(2 ** 64)[1]):
+        x = [rng.randrange(1, min(q, 2 ** 63)) for _ in range(t)]
+        xs = np.array(x, dtype=np.int64)
+        smaller = [v % q for v in _fenwick_smaller(keys, x)]
+        for stop in stops:
+            assert [v % q for v in
+                    schedule.dominance_smaller(xs[:stop], q).tolist()] == \
+                smaller[:stop], (stop, q)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 100, 100_000])
+def test_schedule_keeps_two_half_size_arrays_per_level(t):
+    # The rights are implied by the level, so a level holds only its lefts
+    # and each right's table index: 4 * size bytes, over log2(size) levels.
+    keys = np.random.default_rng(t).permutation(t)
+    schedule = _fast._SplitSchedule(keys)
+    size = len(schedule._order0)
+    assert [h for h, *_ in schedule._levels] == \
+        [size >> b for b in range(1, size.bit_length())]
+    for h, *arrays in schedule._levels:
+        assert [(a.dtype, a.shape) for a in arrays] == \
+            [(np.dtype(np.int32), (size // 2,))] * 2
+    assert sum(a.nbytes for _, *arrays in schedule._levels for a in arrays) \
+        == 4 * size * (size.bit_length() - 1)
+
+
+def test_primes_match_trial_division():
+    def trial(c):
+        return c >= 2 and all(c % d for d in range(2, int(c ** 0.5) + 1))
+
+    assert [c for c in range(2000) if _fast._is_prime(c)] == \
+        [c for c in range(2000) if trial(c)]
+    window = range(2 ** 31 - 400, 2 ** 31)
+    assert [c for c in window if _fast._is_prime(c)] == \
+        [c for c in window if trial(c)]
+    assert _fast._moduli(2 ** 200) == (2 ** 64, 2147483647, 2147483629,
+                                       2147483587, 2147483579, 2147483563)
+
+
 def test_occurrence_bound_choice():
     # The hook bound keeps a 4-node west tree at n = 100 000 in one int64
     # pass, although n^4 is above 2^64.
