@@ -36,7 +36,7 @@ Counts live in ring arithmetic, so they are exact on every input.  Only
 positions and values are ever compared; a count only meets +, -, * and
 cumsum, which in int64 wrap modulo 2^64.  A pass therefore first runs in
 that natural ring.  When the caller's a-priori bound on the count
-(core.morphism_bound of the tree's or the member's double poset) reaches
+(core.morphism_bound of the tree or of the member's double poset) reaches
 2^64, the pass runs once more modulo each prime below 2^31 that the bound
 requires, and the residues are combined by the Chinese remainder theorem.
 A prime pass keeps its values reduced below p after every product and after

@@ -176,8 +176,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_pattern_vector(args) -> int:
-    d = counting.as_double_poset(read_tree_file(args.tree))
-    vec = algebra.pattern_vector(d)
+    obj = read_tree_file(args.tree)
+    k = obj.size() if isinstance(obj, (trees.CornerTree, trees.SNPolytree)) else obj.n
+    if k > trees._ENUM_CAP:  # checked before the closure, which grows as k^2
+        raise trees.TooLarge(f"pattern vector cap is {trees._ENUM_CAP} elements")
+    vec = algebra.pattern_vector(counting.as_double_poset(obj))
     out = {" ".join(map(str, p.values)): c for p, c in vec.items()}
     print(json.dumps(out))
     return 0

@@ -22,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from graphlib import TopologicalSorter
 from typing import Collection, Iterable, Sequence
 
 
@@ -302,7 +303,7 @@ def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
         cands[k] = m
 
 
-def morphism_bound(d: DoublePoset, n: int) -> int:
+def morphism_bound(d, n: int) -> int:
     """A bound on |Mor(d, pi)| for every permutation pi of length n.
 
     A morphism is fixed by its positions, which strictly increase along the
@@ -313,17 +314,22 @@ def morphism_bound(d: DoublePoset, n: int) -> int:
     argument for forests.  A forest rooted at its minima works the same way
     with up-sets.  The bound divides n^k by the largest such product, or is
     n^k when neither order is such a forest; for a chain it is n^k / k!.
+    d is a DoublePoset or an SNPolytree, and only its Hasse pairs are read: a
+    tree's are its edges, and each down-set (up-set) is a cover-forest subtree.
     """
+    k, orders = ((d.n, (d.west.covers(), d.south.covers()))
+                 if isinstance(d, DoublePoset) else (d.size(), d.covers()))
     hooks = 1
-    for order in (d.west, d.south):
-        covers = order.covers()
-        lower = [a for a, _ in covers]  # a once for each upper cover of a
-        upper = [b for _, b in covers]
-        if len(lower) == len(set(lower)):  # a forest rooted at its maxima
-            hooks = max(hooks, math.prod(m.bit_count() + 1 for m in order.below))
-        if len(upper) == len(set(upper)):  # a forest rooted at its minima
-            hooks = max(hooks, math.prod(m.bit_count() + 1 for m in order.above))
-    return n ** d.n // hooks
+    for covers in orders:
+        for parent in (dict(covers), {b: a for a, b in covers}):
+            if len(parent) == len(covers):  # no element has two parents
+                size = [1] * k  # subtree sizes, added up children first
+                tree = TopologicalSorter({v: (w,) for v, w in parent.items()})
+                for v in reversed([*tree.static_order()]):
+                    if v in parent:
+                        size[parent[v]] += size[v]
+                hooks = max(hooks, math.prod(size))
+    return n ** k // hooks
 
 
 def std(window: Sequence[int]) -> Permutation:

@@ -1,6 +1,6 @@
 """Occurrence counting: the front door count, and the corner-tree counters.
 
-count(obj, pi) decides the algorithm from obj's double poset: block
+count(obj, pi) decides the algorithm from obj's type or double poset: block
 (gen3214) for a 3214-family member, general for a twin tree, and otherwise
 naive_morphism_count, the oracle for any double poset, which counts the
 maps that core._iter_morphisms, the package's one morphism search, yields.
@@ -12,7 +12,7 @@ dominance sum over the permutation: a child's values summed over each
 point's NW, SE and NE quadrants are the position prefix, the value prefix
 and the total, corrected by that SW sum.  Counts are exact: the engine works
 in ring arithmetic under an a-priori bound on the counts, the largest
-core.morphism_bound of the trees' double posets, and recombines the residues
+core.morphism_bound, read off the trees' edges, and recombines the residues
 by the Chinese remainder theorem.  It keeps the numpy data of the last
 permutation counted (the value order and its merge schedule, 10.8 MB at
 n = 100 000) until a count on another Permutation object or until that
@@ -88,20 +88,25 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
     auto picks block for a family member (m = block_size, default
     gen3214.default_block_size(n)), general for a twin tree, otherwise naive
     with a logged warning.  A named algorithm that does not apply raises
-    Inapplicable.
+    Inapplicable.  A CornerTree or SNPolytree is a twin tree and never a
+    member (see gen3214.validate_arbo), so only naive closes its orders.
     """
     from . import gen3214
 
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    d = as_double_poset(obj)
-    arbo = gen3214.family_member(d)
-    try:
-        sn = dp_to_snpolytree(d)  # the one twin-tree decision
-    except NotTwinTree:
-        sn = None
+    if isinstance(obj, SNPolytree):
+        obj = snpolytree_to_ct(obj, obj.nodes[0])  # every rooting counts the same
+    ct, arbo = obj, None
+    if not isinstance(obj, CornerTree) or algorithm == "naive":
+        d = as_double_poset(obj)
+        arbo = gen3214.family_member(d)
+        try:
+            ct = snpolytree_to_ct(dp_to_snpolytree(d), 0)  # the one twin-tree decision
+        except NotTwinTree:
+            ct = None
     if algorithm == "auto":
-        algorithm = "block" if arbo else "naive" if sn is None else "general"
+        algorithm = "block" if arbo else "naive" if ct is None else "general"
         if algorithm == "naive":
             import logging  # here only: it adds 0.4 MB to every process
             logging.getLogger(__name__).warning(
@@ -113,11 +118,9 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
             raise Inapplicable("the block algorithm needs a family member")
         m = gen3214.default_block_size(pi.n) if block_size is None else block_size
         return CountResult(gen3214.count_gen_3214(pi, arbo, m), algorithm, m)
-    if sn is None:
+    if ct is None:
         raise Inapplicable("the general algorithm needs a twin tree")
-    # Every rooting of a twin tree counts the same.
-    ct = snpolytree_to_ct(sn, 0)
-    return CountResult(_count(pi, [ct], [d])[0], algorithm)
+    return CountResult(count_corner_trees(pi, [ct])[0], algorithm)
 
 
 def corner_tree_profiles(pi: Permutation, ct: CornerTree):
@@ -163,17 +166,11 @@ def count_corner_trees(pi: Permutation, trees) -> list[int]:
     kept for the next count on the same object (see _fast); no count is.
     """
     trees = list(trees)
-    return _count(pi, trees, [as_double_poset(ct) for ct in trees])
-
-
-def _count(pi: Permutation, trees: list[CornerTree],
-           dps: list[DoublePoset]) -> list[int]:
-    """The scan engine's counts of trees, whose double posets are dps."""
     if pi.n == 0 or not trees:
         return [0] * len(trees)
     from . import _fast
 
-    bound = max(morphism_bound(d, pi.n) for d in dps)
+    bound = max(morphism_bound(ct_to_snpolytree(ct), pi.n) for ct in trees)
     return _fast.count_corner_trees(pi, trees, bound)
 
 

@@ -101,6 +101,8 @@ def validate_arbo(dp: DoublePoset) -> ArboNE:
     `one` are the west and south maxima of the rest, and `two` is the
     element between them when the spine has two Hasse edges.  Raises
     NoGlobalMax, RestrictionNotTwinTree or BadSpine when dp is no member.
+    No member is twin, so no twin tree is one: {three, four} is a west
+    Hasse edge, yet one lies between three and four in the south order.
     """
     n = dp.n
     everything = (1 << n) - 1

@@ -135,6 +135,13 @@ class SNPolytree:
     def size(self) -> int:
         return len(self.nodes)
 
+    def covers(self) -> tuple[list, list]:
+        """The Hasse pairs (lower, upper) of the west and south orders on the
+        indices of nodes: an edge's head is west of its tail, south if S."""
+        idx = {node: i for i, node in enumerate(self.nodes)}
+        west = [(idx[head], idx[tail]) for tail, head, _ in self.edges]
+        return west, [p if e[2] == "S" else p[::-1] for p, e in zip(west, self.edges)]
+
 
 def ct_to_snpolytree(ct: CornerTree) -> SNPolytree:
     """Forget the root: arrows point at the west endpoint of each edge.
@@ -184,21 +191,9 @@ def snpolytree_to_ct(t: SNPolytree, v) -> CornerTree:
 
 
 def snpolytree_to_dp(t: SNPolytree) -> DoublePoset:
-    """Close the edge relations into a twin tree double poset.
-
-    Per edge the head is west of the tail; the south relation follows the
-    label: S puts the head below the tail, N above.
-    """
-    idx = {node: i for i, node in enumerate(t.nodes)}
-    west = []
-    south = []
-    for tail, head, label in t.edges:
-        west.append((idx[head], idx[tail]))
-        if label == "S":
-            south.append((idx[head], idx[tail]))
-        else:
-            south.append((idx[tail], idx[head]))
-    return double_poset(len(t.nodes), west, south)
+    """Close the Hasse pairs of t (SNPolytree.covers) into a twin tree
+    double poset on the indices of t.nodes."""
+    return double_poset(t.size(), *t.covers())
 
 
 def dp_to_snpolytree(d: DoublePoset) -> SNPolytree:

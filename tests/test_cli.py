@@ -282,6 +282,20 @@ def test_pattern_vector_size_cap(write):
     assert main(["pattern-vector", "--tree", write("big.json", doc)]) == 3
 
 
+def test_pattern_vector_cap_precedes_the_closure(monkeypatch, write, capsys):
+    from patterncount import core
+
+    def refused(*args):
+        raise AssertionError("the cap check came after a closure")
+
+    monkeypatch.setattr(core, "transitive_closure", refused)
+    path = CornerTree(0, tuple((i, i + 1, "SW") for i in range(2999)))
+    doc = write("path.json", tree_spec_to_dict(path))
+    assert main(["pattern-vector", "--tree", doc]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and "cap is 6" in err
+
+
 def test_rank_level2(write, capsys):
     assert main(["rank", "--max-level", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"dim_span": 3, "dim_top": 2,
@@ -376,6 +390,16 @@ def test_deep_corner_tree_counts(write, capsys):
         assert main(["count", "--perm", perm_file, "--tree", tree_file,
                      "--algorithm", algorithm]) == 0
         assert capsys.readouterr().out == f"{expected}\n"
+
+
+def test_deep_path_counts_from_its_edges(write, capsys):
+    # 12 000 nodes: closing the path's two orders would take 72 million
+    # pairs each; the tree path reads its bound off the edges instead.
+    path = CornerTree(0, tuple((i, i + 1, "SW") for i in range(11_999)))
+    perm_file = write("p.txt", "3 1 2 5 4")
+    tree_file = write("t.json", tree_spec_to_dict(path))
+    assert main(["count", "--perm", perm_file, "--tree", tree_file]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_selftest_failure_exits_one(monkeypatch, capsys):

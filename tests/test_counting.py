@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patterncount import _fast, counting, trees
+from patterncount import _fast, core, counting, trees
 from patterncount.cli import main as cli_main, parse_tree_spec, tree_spec_to_dict
 
 from patterncount.core import (
@@ -41,7 +41,8 @@ from patterncount.algebra import twin_tree_family
 from patterncount.gen3214 import (bare_3214, build_arbo, count_gen_3214,
                                   default_block_size)
 from patterncount.indexstructs import SumTree
-from patterncount.trees import CornerTree, dp_to_snpolytree, snpolytree_to_ct
+from patterncount.trees import (CornerTree, ct_to_snpolytree, dp_to_snpolytree,
+                               snpolytree_to_ct)
 from tests.test_cli import SE_TREE
 from tests.test_core import random_perm
 from tests.test_gen3214 import _layered, _perfect_shuffle, structured_perms
@@ -718,8 +719,8 @@ def test_front_door_block_size():
 
 
 def test_front_door_builds_the_double_poset_once(monkeypatch):
-    # The scan's a-priori bound comes from the double poset that decided
-    # the algorithm, not from a second conversion of the rooted tree.
+    # A tree is a twin tree by its type: its count and its bound come from
+    # its edges, and only the naive oracle builds its double poset.
     calls = []
     real = trees.snpolytree_to_dp
 
@@ -729,9 +730,34 @@ def test_front_door_builds_the_double_poset_once(monkeypatch):
 
     monkeypatch.setattr(trees, "snpolytree_to_dp", counted)
     monkeypatch.setattr(counting, "snpolytree_to_dp", counted)
-    result = count(SE_NE_NW_TREE, perm([2, 3, 1, 5, 4, 6]))
-    assert result == CountResult(13, "general")
+    pi = perm([2, 3, 1, 5, 4, 6])
+    for tree in (SE_NE_NW_TREE, ct_to_snpolytree(SE_NE_NW_TREE)):
+        for algorithm in ("auto", "general"):
+            assert count(tree, pi, algorithm) == CountResult(13, "general")
+        with pytest.raises(Inapplicable, match="family member"):
+            count(tree, pi, "block")
+    assert len(calls) == 0
+    assert count(SE_NE_NW_TREE, pi, "naive") == CountResult(13, "naive")
     assert len(calls) == 1
+
+
+def test_tree_counts_close_no_order(monkeypatch):
+    pi = perm([3, 1, 2, 5, 4])
+    west = CornerTree(0, ((0, 1, "SW"), (0, 2, "NW"), (2, 3, "SW")))
+    expected = [naive_corner_tree_count(pi, ct) for ct in (west, SE_NE_NW_TREE)]
+    path = _path(["SW"] * 1199)
+
+    def refused(*args):
+        raise AssertionError("a tree count closed an order")
+
+    monkeypatch.setattr(core, "transitive_closure", refused)
+    assert count(west, pi) == CountResult(expected[0], "general")
+    assert count(ct_to_snpolytree(path), pi) == CountResult(0, "general")
+    assert count_corner_tree(pi, SE_NE_NW_TREE) == expected[1]
+    assert count_all_west(pi, west) == expected[0]
+    assert count_all_west(pi, path) == 0
+    assert count_corner_trees(pi, [west, path, SE_NE_NW_TREE]) == \
+        [expected[0], 0, expected[1]]
 
 
 def test_no_count_builds_a_stream_west_counter(monkeypatch):

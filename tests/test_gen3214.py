@@ -37,6 +37,7 @@ from patterncount.gen3214 import (
     count_type_b_not_a,
     decompose,
     default_block_size,
+    family_member,
     level5_arbos,
     validate_arbo,
 )
@@ -53,6 +54,19 @@ def random_arbo(rng, max_extra=2) -> ArboNE:
         parents.append(rng.choice(hosts + ids))
         ids.append(base + 1 + len(ids))
     return build_arbo(with_two, tuple(parents))
+
+
+def test_no_twin_tree_is_a_member():
+    # In a member {three, four} is a west Hasse edge, while one lies between
+    # three and four in the south order, so no member is twin.
+    for k in range(1, 7):
+        for t in enumerate_snpolytrees(k):
+            assert family_member(snpolytree_to_dp(t)) is None, t
+    rng = random.Random(29)
+    members = [bare_3214(), *level5_arbos(),
+               *(random_arbo(rng, max_extra=4) for _ in range(40))]
+    for arbo in members:
+        assert not classify(arbo.dp).is_twin, arbo
 
 
 def brute_type_counts(pi: Permutation, arbo: ArboNE, m: int):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from patterncount.core import (
     are_isomorphic,
     canonical_form,
     classify,
+    morphism_bound,
     perm,
     perm_to_dp,
 )
@@ -285,3 +287,36 @@ def test_corner_tree_stored_walk():
         assert order.index(child) < order.index(parent)
     assert ct.children("a") == (("b", "NE"), ("c", "NW"))
     assert ct.children("b") == () and ct.children("d") == ()
+
+
+def _closed_order_bound(d, n):
+    """morphism_bound read off the closed orders: the down-set (up-set)
+    sizes from the order masks of each order that is a forest rooted at its
+    maxima (minima)."""
+    hooks = 1
+    for order in (d.west, d.south):
+        covers = order.covers()
+        for ends, masks in (([a for a, _ in covers], order.below),
+                            ([b for _, b in covers], order.above)):
+            if len(ends) == len(set(ends)):
+                hooks = max(hooks, math.prod(m.bit_count() + 1 for m in masks))
+    return n ** d.n // hooks
+
+
+def test_edge_read_bound_equals_closed_order_bound():
+    # A tree's Hasse pairs are its edges, so its bound closes no order.  A
+    # corner tree with one label is a forest rooted at one end in both orders.
+    rng = random.Random(23)
+    polytrees = [t for k in range(1, 7) for t in enumerate_snpolytrees(k)]
+    assert len(polytrees) == 2668
+    for _ in range(200):
+        labels = rng.choice([["NE"], ["NW"], ["SE"], ["SW"],
+                             ["NE", "NW", "SE", "SW"]])
+        edges = tuple((rng.randrange(c), c, rng.choice(labels))
+                      for c in range(1, rng.randint(1, 60)))
+        polytrees.append(ct_to_snpolytree(CornerTree(0, edges)))
+    for t in polytrees:
+        d = snpolytree_to_dp(t)
+        for n in (1, 7, 100_000):
+            assert morphism_bound(t, n) == morphism_bound(d, n) \
+                == _closed_order_bound(d, n), (t, n)
