@@ -17,6 +17,8 @@ Permutations are ASCII integers separated by whitespace, one-line notation,
 The anchors of an arbo_ne document must be the ones its double poset
 determines.  count leaves the algorithm to counting.count, which decides it
 from the double poset: members count by block, whatever their type says.
+validate reads a tree document's flags off its edges, and pattern-vector
+its size, so neither closes the tree's orders.
 
 Exit codes: 0 success, 1 self-test failure, 2 parse/validation failure,
 3 inapplicable algorithm or size cap.
@@ -32,7 +34,7 @@ import sys
 import time
 
 from . import algebra, counting, gen3214, trees
-from .core import (DoublePoset, InvalidInput, Permutation, classify,
+from .core import (DoublePoset, InvalidInput, Permutation, _shape, classify,
                    double_poset)
 from .counting import Inapplicable
 
@@ -177,8 +179,7 @@ def cmd_count(args) -> int:
 
 def cmd_pattern_vector(args) -> int:
     obj = read_tree_file(args.tree)
-    k = obj.size() if isinstance(obj, (trees.CornerTree, trees.SNPolytree)) else obj.n
-    if k > trees._ENUM_CAP:  # checked before the closure, which grows as k^2
+    if _shape(obj)[0] > trees._ENUM_CAP:  # checked before the closure, which grows as k^2
         raise trees.TooLarge(f"pattern vector cap is {trees._ENUM_CAP} elements")
     vec = algebra.pattern_vector(counting.as_double_poset(obj))
     out = {" ".join(map(str, p.values)): c for p, c in vec.items()}
@@ -204,14 +205,15 @@ def cmd_rank(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    d = counting.as_double_poset(read_tree_file(args.tree))
-    flags = classify(d)
-    print(f"elements: {d.n}")
-    print(f"twin: {str(flags.is_twin).lower()}")
-    print(f"tree: {str(flags.is_tree).lower()}")
-    print(f"twin_tree: {str(flags.is_twin_tree).lower()}")
-    print(f"permutation: {str(flags.is_permutation).lower()}")
-    if gen3214.family_member(d):
+    obj = read_tree_file(args.tree)
+    obj = trees.ct_to_snpolytree(obj) if isinstance(obj, trees.CornerTree) else obj
+    flags = classify(obj)  # from the Hasse pairs: a tree's edges, an ArboNE's dp
+    print(f"elements: {_shape(obj)[0]}")
+    for flag in ("twin", "tree", "twin_tree", "permutation"):
+        print(f"{flag}: {str(getattr(flags, 'is_' + flag)).lower()}")
+    # An arbo_ne document was validated on load; no twin tree is a member.
+    if isinstance(obj, gen3214.ArboNE) or (
+            not flags.is_twin_tree and gen3214.family_member(obj)):
         print("arbo_ne: valid")
     return 0
 

@@ -303,6 +303,18 @@ def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
         cands[k] = m
 
 
+def _shape(d):
+    """Element count of d, and a reader of its west and south Hasse pairs
+    (lower, upper): each order's covers() for a DoublePoset (or an ArboNE's
+    dp), SNPolytree.covers() for a tree (a CornerTree's count only)."""
+    d = getattr(d, "dp", d)
+    if isinstance(d, DoublePoset):
+        return d.n, lambda: (d.west.covers(), d.south.covers())
+    if hasattr(d, "size"):  # a tree
+        return d.size(), lambda: d.covers()
+    raise TypeError(f"cannot read the shape of {type(d).__name__}")
+
+
 def morphism_bound(d, n: int) -> int:
     """A bound on |Mor(d, pi)| for every permutation pi of length n.
 
@@ -317,10 +329,9 @@ def morphism_bound(d, n: int) -> int:
     d is a DoublePoset or an SNPolytree, and only its Hasse pairs are read: a
     tree's are its edges, and each down-set (up-set) is a cover-forest subtree.
     """
-    k, orders = ((d.n, (d.west.covers(), d.south.covers()))
-                 if isinstance(d, DoublePoset) else (d.size(), d.covers()))
+    k, hasse = _shape(d)
     hooks = 1
-    for covers in orders:
+    for covers in hasse():
         for parent in (dict(covers), {b: a for a, b in covers}):
             if len(parent) == len(covers):  # no element has two parents
                 size = [1] * k  # subtree sizes, added up children first
@@ -404,23 +415,23 @@ class Classification:
     is_permutation: bool
 
 
-def classify(d: DoublePoset) -> Classification:
-    """Hasse-diagram flags of a double poset.
+def classify(d) -> Classification:
+    """Hasse-diagram flags of a DoublePoset or an SNPolytree, read off its
+    Hasse pairs (_shape), so a tree's come from its edges.
 
     twin: both Hasse diagrams equal as labeled undirected graphs;
     tree: both Hasse diagrams are trees (connected and acyclic);
-    permutation: both orders are total.
+    permutation: both Hasse diagrams are chains, so both orders are total.
     """
-    hw = d.west.covers()
-    hs = d.south.covers()
+    k, hasse = _shape(d)
+    hw, hs = hasse()
+
+    def chain(h):  # k - 1 pairs, no element twice below and none twice above
+        return len(h) == len(dict(h)) == len({b for _, b in h}) == max(k - 1, 0)
     is_twin = {frozenset(e) for e in hw} == {frozenset(e) for e in hs}
-    is_tree = _is_tree(range(d.n), hw) and _is_tree(range(d.n), hs)
-    return Classification(
-        is_twin=is_twin,
-        is_tree=is_tree,
-        is_twin_tree=is_twin and is_tree,
-        is_permutation=d.west.is_total() and d.south.is_total(),
-    )
+    is_tree = _is_tree(range(k), hw) and _is_tree(range(k), hs)
+    return Classification(is_twin, is_tree, is_twin and is_tree,
+                          chain(hw) and chain(hs))
 
 
 def _is_tree(nodes: Sequence, pairs: Collection[tuple]) -> bool:

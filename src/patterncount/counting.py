@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DoublePoset, Permutation, _iter_morphisms, morphism_bound
+from .core import (DoublePoset, Permutation, _iter_morphisms, _shape,
+                   morphism_bound)
 from .indexstructs import SumTree
 from .trees import (CornerTree, NotTwinTree, SNPolytree, ct_to_snpolytree,
                     dp_to_snpolytree, snpolytree_to_ct, snpolytree_to_dp)
@@ -72,12 +73,9 @@ def as_double_poset(obj) -> DoublePoset:
         obj = ct_to_snpolytree(obj)
     if isinstance(obj, SNPolytree):
         return snpolytree_to_dp(obj)
+    obj = getattr(obj, "dp", obj)  # an ArboNE's
     if isinstance(obj, DoublePoset):
         return obj
-    from . import gen3214
-
-    if isinstance(obj, gen3214.ArboNE):
-        return obj.dp
     raise TypeError(f"cannot interpret {type(obj).__name__} as a double poset")
 
 
@@ -89,7 +87,9 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
     gen3214.default_block_size(n)), general for a twin tree, otherwise naive
     with a logged warning.  A named algorithm that does not apply raises
     Inapplicable.  A CornerTree or SNPolytree is a twin tree and never a
-    member (see gen3214.validate_arbo), so only naive closes its orders.
+    member (see gen3214.validate_arbo), so only naive closes its orders, and
+    only within budget.  An ArboNE is taken as its own member, and a member
+    is not tried as a twin tree.
     """
     from . import gen3214
 
@@ -97,14 +97,14 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if isinstance(obj, SNPolytree):
         obj = snpolytree_to_ct(obj, obj.nodes[0])  # every rooting counts the same
-    ct, arbo = obj, None
-    if not isinstance(obj, CornerTree) or algorithm == "naive":
-        d = as_double_poset(obj)
-        arbo = gen3214.family_member(d)
-        try:
-            ct = snpolytree_to_ct(dp_to_snpolytree(d), 0)  # the one twin-tree decision
+    ct = obj if isinstance(obj, CornerTree) else None
+    arbo = obj if isinstance(obj, gen3214.ArboNE) else None
+    if isinstance(obj, DoublePoset) and algorithm != "naive":
+        arbo = gen3214.family_member(obj)
+        try:  # the one twin-tree decision; a member is no twin tree
+            ct = None if arbo else snpolytree_to_ct(dp_to_snpolytree(obj), 0)
         except NotTwinTree:
-            ct = None
+            pass
     if algorithm == "auto":
         algorithm = "block" if arbo else "naive" if ct is None else "general"
         if algorithm == "naive":
@@ -112,7 +112,7 @@ def count(obj, pi: Permutation, algorithm: str = "auto",
             logging.getLogger(__name__).warning(
                 "falling back to naive morphism counting for a general double poset")
     if algorithm == "naive":
-        return CountResult(naive_morphism_count(d, pi), algorithm)
+        return CountResult(naive_morphism_count(obj, pi), algorithm)
     if algorithm == "block":
         if arbo is None:
             raise Inapplicable("the block algorithm needs a family member")
@@ -227,15 +227,17 @@ def count_all_west(pi: Permutation, tree: CornerTree) -> int:
 _MORPHISM_BUDGET = 10**9
 
 
-def naive_morphism_count(d: DoublePoset, pi: Permutation) -> int:
+def naive_morphism_count(d, pi: Permutation) -> int:
     """Count double poset morphisms from d into the permutation.
 
     The oracle for all the fast counting paths, by core._iter_morphisms.
+    d is anything as_double_poset reads, and its size is checked first.
     """
     n = pi.n
-    if n ** d.n > _MORPHISM_BUDGET:
-        raise BudgetExceeded(f"{n}^{d.n} assignments exceed the search budget")
-    return count_morphisms_into_perm(d, pi)
+    k = _shape(d)[0]
+    if n ** k > _MORPHISM_BUDGET:
+        raise BudgetExceeded(f"{n}^{k} assignments exceed the search budget")
+    return count_morphisms_into_perm(as_double_poset(d), pi)
 
 
 def count_morphisms_into_perm(d: DoublePoset, pi: Permutation) -> int:
@@ -245,4 +247,4 @@ def count_morphisms_into_perm(d: DoublePoset, pi: Permutation) -> int:
 
 def naive_corner_tree_count(pi: Permutation, ct: CornerTree) -> int:
     """Oracle: occurrences as morphisms of the associated double poset."""
-    return naive_morphism_count(as_double_poset(ct), pi)
+    return naive_morphism_count(ct, pi)

@@ -347,6 +347,63 @@ def test_validate_arbo(write, capsys):
     assert "arbo_ne" not in capsys.readouterr().out
 
 
+def test_validate_takes_a_member_as_it_stands(monkeypatch, write, capsys):
+    # An arbo_ne document is validated once, on load; a double_poset
+    # document once, by the member test; a tree document never.
+    from patterncount import gen3214
+
+    calls = []
+    real = gen3214.validate_arbo
+    monkeypatch.setattr(gen3214, "validate_arbo",
+                        lambda dp: calls.append(dp) or real(dp))
+    doc = arbo_doc(build_arbo(True, (0,)))
+    plain = dict(doc, type="double_poset")
+    del plain["anchors"]
+    for tree_doc, member in ((doc, True), (plain, True), (SE_TREE, False)):
+        calls.clear()
+        assert main(["validate", "--tree", write("a.json", tree_doc)]) == 0
+        assert ("arbo_ne: valid" in capsys.readouterr().out) == member
+        assert len(calls) == member
+
+
+def _refuse_closure(monkeypatch):
+    from patterncount import core
+
+    def refused(*args):
+        raise AssertionError("an order was closed")
+
+    monkeypatch.setattr(core, "transitive_closure", refused)
+
+
+def test_validate_reads_a_tree_off_its_edges(monkeypatch, write, capsys):
+    path = CornerTree(0, tuple((i, i + 1, "SW") for i in range(11_999)))
+    zigzag = CornerTree(0, tuple(
+        (i, i + 1, lab) for i, lab in enumerate((["NW", "SE"] * 600)[:1199])))
+    files = [write(f"t{i}.json", tree_spec_to_dict(t))
+             for i, t in enumerate((path, zigzag))]
+    _refuse_closure(monkeypatch)
+    assert main(["validate", "--tree", files[0]]) == 0
+    assert capsys.readouterr().out == (
+        "elements: 12000\ntwin: true\ntree: true\ntwin_tree: true\n"
+        "permutation: true\n")
+    assert main(["validate", "--tree", files[1]]) == 0
+    assert capsys.readouterr().out == (
+        "elements: 1200\ntwin: true\ntree: true\ntwin_tree: true\n"
+        "permutation: false\n")
+
+
+def test_naive_budget_precedes_the_closure(monkeypatch, write, capsys):
+    path = CornerTree(0, tuple((i, i + 1, "SW") for i in range(1199)))
+    perm_file = write("p.txt", "3 1 2 5 4")
+    tree_file = write("t.json", tree_spec_to_dict(path))
+    _refuse_closure(monkeypatch)
+    assert main(["count", "--perm", perm_file, "--tree", tree_file,
+                 "--algorithm", "naive"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_tree_file_not_utf8(write, capsys, tmp_path):
     tree_file = tmp_path / "t.json"
     tree_file.write_bytes(b"\xff\xfe")

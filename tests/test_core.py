@@ -373,6 +373,58 @@ def test_classify_cycle_with_isolated_element_is_not_tree():
     assert c.is_twin and not c.is_tree and not c.is_twin_tree
 
 
+def _closed_order_flags(d: DoublePoset) -> Classification:
+    """The flags read from the closed orders, the reference for classify:
+    Hasse pairs by a search for an element in between, trees by
+    union-find, permutations by the number of comparable pairs."""
+    def hasse(p):
+        return {frozenset((a, b)) for a, b in p.pairs
+                if not any((a, c) in p.pairs and (c, b) in p.pairs
+                           for c in range(d.n))}
+
+    def is_tree(edges):
+        root = list(range(d.n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for a, b in map(tuple, edges):
+            root[find(a)] = find(b)
+        return d.n > 0 and len(edges) == d.n - 1 and \
+            len({find(v) for v in range(d.n)}) == 1
+
+    hw, hs = hasse(d.west), hasse(d.south)
+    tree = is_tree(hw) and is_tree(hs)
+    total = all(2 * len(p.pairs) == d.n * (d.n - 1) for p in (d.west, d.south))
+    return Classification(hw == hs, tree, hw == hs and tree, total)
+
+
+def test_classify_reads_a_tree_off_its_edges():
+    # Every SN polytree class on 1-6 nodes: its edges give the flags that
+    # the Hasse pairs of its closed double poset give.
+    for k in range(1, 7):
+        for t in enumerate_snpolytrees(k):
+            d = snpolytree_to_dp(t)
+            assert classify(t) == classify(d) == _closed_order_flags(d), t
+
+
+def test_classify_matches_the_closed_orders():
+    from patterncount.algebra import all_double_posets
+
+    rng = random.Random(24)
+    samples = [d for k in range(4) for d in all_double_posets(k)]
+    samples += [random_double_poset(rng, rng.randint(0, 7), rng.random())
+                for _ in range(300)]
+    samples += [perm_to_dp(random_perm(rng, rng.randint(0, 8)))
+                for _ in range(60)]
+    for d in samples:
+        assert classify(d) == _closed_order_flags(d), d
+    assert all(classify(perm_to_dp(random_perm(rng, k))).is_permutation
+               for k in range(10))
+
+
 # ------------------------------------------------------ canonical form
 
 def test_canonical_form_orbit_invariance():

@@ -760,6 +760,53 @@ def test_tree_counts_close_no_order(monkeypatch):
         [expected[0], 0, expected[1]]
 
 
+def test_naive_budget_closes_no_order(monkeypatch):
+    # The n^k budget needs only the element count, so a tree beyond it is
+    # refused before its orders are closed.
+    pi = perm([3, 1, 2, 5, 4])
+    path = _path(["SW"] * 1199)
+
+    def refused(*args):
+        raise AssertionError("the budget check closed an order")
+
+    monkeypatch.setattr(core, "transitive_closure", refused)
+    for tree in (path, ct_to_snpolytree(path)):
+        with pytest.raises(BudgetExceeded):
+            count(tree, pi, "naive")
+    with pytest.raises(BudgetExceeded):
+        naive_corner_tree_count(pi, path)
+
+
+def test_a_member_counts_as_itself(monkeypatch):
+    # An ArboNE is not validated again, and a member DoublePoset is
+    # validated once and never tried as a twin tree.
+    from patterncount import gen3214
+
+    pi = random_perm(random.Random(24), 40)
+    arbo = build_arbo(True, (1,))
+    m = default_block_size(pi.n)
+    expected = CountResult(count_gen_3214(pi, arbo, m, "exact"), "block", m)
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(d):
+            calls[name] += 1
+            return real(d)
+        monkeypatch.setattr(module, name, call)
+
+    counted(gen3214, "validate_arbo")
+    counted(counting, "dp_to_snpolytree")
+    for obj, want in ((arbo, (0, 0)), (arbo.dp, (1, 0))):
+        for algorithm in ("auto", "block"):
+            calls.update(validate_arbo=0, dp_to_snpolytree=0)
+            assert count(obj, pi, algorithm) == expected
+            assert tuple(calls.values()) == want, (type(obj), algorithm)
+        with pytest.raises(Inapplicable, match="twin tree"):
+            count(obj, pi, "general")
+
+
 def test_no_count_builds_a_stream_west_counter(monkeypatch):
     # StreamWestCounter is public API that no count runs: the block
     # counter's exact passes read corner_tree_profiles, and every scan

@@ -1,13 +1,16 @@
-"""perfbench's tracer still finds every package name it wraps.
+"""perfbench still finds every package name it wraps or calls.
 
 The tracer replaces module attributes by name, so a renamed or deleted
 function or class breaks the benchmark at install time.  This loads
 perfbench/tracer.py from its source, without writing a cached module,
 installs it around one small call of each traced entry point, and removes
-it again.
+it again.  The workloads' oracles call the package's counting oracles
+directly, so perfbench/workloads.py is loaded the same way and every
+oracle check is run on two seeds.
 """
 
 import random
+import sys
 import types
 from pathlib import Path
 
@@ -16,14 +19,18 @@ from patterncount import algebra, counting, gen3214
 from patterncount.core import Permutation
 from patterncount.trees import CornerTree
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def _load(module: types.ModuleType, path: Path) -> types.ModuleType:
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def _load_tracer() -> types.ModuleType:
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
-    return module
+    return _load(types.ModuleType("perfbench_tracer"), TRACER)
 
 
 def test_tracer_wraps_the_package():
@@ -46,3 +53,14 @@ def test_tracer_wraps_the_package():
     assert tracer.metrics()["fast.schedule.builds"] >= 1
     assert originals == (counting.count_corner_tree, gen3214.count_gen_3214,
                          algebra.rank_of_family)
+
+
+def test_workload_oracles_pass(monkeypatch):
+    module = types.ModuleType("perfbench_workloads")
+    # Its dataclasses look their module up in sys.modules as they are made.
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    workloads = _load(module, PERFBENCH / "workloads.py")
+    for workload in workloads.WORKLOADS.values():
+        for seed in (0, 1):
+            failed = [label for label, ok in workload.oracle(seed) if not ok]
+            assert failed == [], (workload.name, seed)
