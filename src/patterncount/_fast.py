@@ -36,7 +36,7 @@ Counts live in ring arithmetic, so they are exact on every input.  Only
 positions and values are ever compared; a count only meets +, -, * and
 cumsum, which in int64 wrap modulo 2^64.  A pass therefore first runs in
 that natural ring.  When the caller's a-priori bound on the count
-(core.morphism_bound of the tree or of the member's double poset) reaches
+(core.morphism_bound of the tree or of the member, read off tree edges) reaches
 2^64, the pass runs once more modulo each prime below 2^31 that the bound
 requires, and the residues are combined by the Chinese remainder theorem.
 A prime pass keeps its values reduced below p after every product and after
@@ -63,7 +63,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import Permutation
-from .trees import CornerTree
+from .trees import CornerTree, _transposed
 
 _WRAP = 1 << 64  # the int64 ring, which reduces by wrapping around
 _PRIME_CEILING = 1 << 31
@@ -352,15 +352,6 @@ class _Forest:
             if value_reads[s]:
                 values[s] = x
         return [out[s] for s in self.roots]
-
-
-_TRANSPOSED = {"NE": "NE", "NW": "SE", "SE": "NW", "SW": "SW"}
-
-
-def _transposed(tree: CornerTree) -> CornerTree:
-    """The tree in the plane with its two coordinates exchanged."""
-    return CornerTree(tree.root, tuple((parent, child, _TRANSPOSED[label])
-                                       for parent, child, label in tree.edges))
 
 
 class _PermData:

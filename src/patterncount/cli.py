@@ -207,7 +207,7 @@ def cmd_rank(args) -> int:
 def cmd_validate(args) -> int:
     obj = read_tree_file(args.tree)
     obj = trees.ct_to_snpolytree(obj) if isinstance(obj, trees.CornerTree) else obj
-    flags = classify(obj)  # from the Hasse pairs: a tree's edges, an ArboNE's dp
+    flags = classify(obj)  # from the Hasse pairs: a tree's edges, an ArboNE's tree
     print(f"elements: {_shape(obj)[0]}")
     for flag in ("twin", "tree", "twin_tree", "permutation"):
         print(f"{flag}: {str(getattr(flags, 'is_' + flag)).lower()}")

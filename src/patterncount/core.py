@@ -305,12 +305,11 @@ def _iter_morphisms(src: DoublePoset, dst: DoublePoset | Permutation,
 
 def _shape(d):
     """Element count of d, and a reader of its west and south Hasse pairs
-    (lower, upper): each order's covers() for a DoublePoset (or an ArboNE's
-    dp), SNPolytree.covers() for a tree (a CornerTree's count only)."""
-    d = getattr(d, "dp", d)
+    (lower, upper): each order's covers() for a DoublePoset, d.covers() for an
+    SNPolytree or an ArboNE, read off tree edges (a CornerTree's count only)."""
     if isinstance(d, DoublePoset):
         return d.n, lambda: (d.west.covers(), d.south.covers())
-    if hasattr(d, "size"):  # a tree
+    if hasattr(d, "size"):  # a tree or an ArboNE
         return d.size(), lambda: d.covers()
     raise TypeError(f"cannot read the shape of {type(d).__name__}")
 
@@ -326,8 +325,9 @@ def morphism_bound(d, n: int) -> int:
     argument for forests.  A forest rooted at its minima works the same way
     with up-sets.  The bound divides n^k by the largest such product, or is
     n^k when neither order is such a forest; for a chain it is n^k / k!.
-    d is a DoublePoset or an SNPolytree, and only its Hasse pairs are read: a
-    tree's are its edges, and each down-set (up-set) is a cover-forest subtree.
+    d is a DoublePoset, an SNPolytree or an ArboNE, and only its Hasse pairs
+    are read (_shape): a tree's are its edges, an ArboNE's its tree's edges and
+    the two below its top, and each down-set (up-set) is a cover-forest subtree.
     """
     k, hasse = _shape(d)
     hooks = 1

@@ -31,11 +31,11 @@ the dangles below it (see decompose).
 
 method="auto" and "fast" run the numpy passes of the _fast module, which
 handle one position block at a time and are exact under the a-priori bound
-core.morphism_bound of the member's double poset.  method="exact" runs the
-reference passes, kept as oracles, on root profiles of corner_tree_profiles:
-of the tree on each block's gated points for types A and B, and of the
-dangle trees for the box, which loops over every candidate `four` and keeps
-a 2-D accumulator only for the dangle2 box sums.
+core.morphism_bound of the member, read off its tree (ArboNE.covers).
+method="exact" runs the reference passes, kept as oracles, on root profiles
+of corner_tree_profiles: of the tree on each block's gated points for types
+A and B, and of the dangle trees for the box, which loops over every
+candidate `four` and keeps a 2-D accumulator only for the dangle2 box sums.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (DoublePoset, Permutation, classify, double_poset,
-                   morphism_bound, swap)
+from .core import DoublePoset, Permutation, double_poset, morphism_bound
 from .counting import corner_tree_profiles
 # Unused here, since no pass builds one; perfbench's tracer patches
 # gen3214.StreamWestCounter, as it does gen3214.ProductTree.
 from .counting import StreamWestCounter  # noqa: F401
 from .indexstructs import ProductTree
-from .trees import CornerTree, dp_to_snpolytree, snpolytree_to_ct
+from .trees import (CornerTree, NotTwinTree, _transposed,
+                    covers_to_snpolytree, snpolytree_to_ct)
 
 
 class ArboValidationError(ValueError):
@@ -72,7 +72,9 @@ class BadSpine(ArboValidationError):
 
 @dataclass(frozen=True)
 class ArboNE:
-    """A validated family member; construct through validate_arbo."""
+    """A validated family member; construct through validate_arbo, which also
+    sets the read-only `tree`: the rest without `four` as an SNPolytree, on
+    the rest's indices in order.  It is no field: ==, hash and repr ignore it."""
 
     dp: DoublePoset
     one: int
@@ -80,9 +82,16 @@ class ArboNE:
     three: int
     four: int
 
-    @property
-    def n(self) -> int:
+    def size(self) -> int:
         return self.dp.n
+
+    n = property(size)
+
+    def covers(self) -> tuple[list, list]:
+        """dp's Hasse pairs: the tree's edges, and three and one below four."""
+        west, south = ([(a + (a >= self.four), b + (b >= self.four))
+                        for a, b in h] for h in self.tree.covers())
+        return west + [(self.three, self.four)], south + [(self.one, self.four)]
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,8 @@ def validate_arbo(dp: DoublePoset) -> ArboNE:
     `one` are the west and south maxima of the rest, and `two` is the
     element between them when the spine has two Hasse edges.  Raises
     NoGlobalMax, RestrictionNotTwinTree or BadSpine when dp is no member.
+    `four` lies between no two elements, so the rest's twin tree, ArboNE.tree,
+    is read off dp's Hasse pairs without `four`; nothing is restricted.
     No member is twin, so no twin tree is one: {three, four} is a west
     Hasse edge, yet one lies between three and four in the south order.
     """
@@ -117,8 +128,13 @@ def validate_arbo(dp: DoublePoset) -> ArboNE:
     one = _maximum(dp.south.below, rest)
     if three is None or one is None or one == three:
         raise BadSpine("the rest needs distinct west and south maxima")
-    if not classify(dp.restrict([v for v in range(n) if v != four])).is_twin_tree:
-        raise RestrictionNotTwinTree("removing the top element must leave a twin tree")
+    try:
+        tree = covers_to_snpolytree(n - 1, *(
+            [(a - (a > four), b - (b > four)) for a, b in order.covers() if b != four]
+            for order in (dp.west, dp.south)))
+    except NotTwinTree:
+        raise RestrictionNotTwinTree(
+            "removing the top element must leave a twin tree") from None
 
     # In a twin tree x < three exactly when the tree path from x to three is
     # directed, so the elements between one and three are the path's inner
@@ -129,8 +145,9 @@ def validate_arbo(dp: DoublePoset) -> ArboNE:
     if between.bit_count() > 1:
         raise BadSpine(f"the tree path from {one} to {three} has more than "
                        "two edges")
-    return ArboNE(dp, one, between.bit_length() - 1 if between else None,
-                  three, four)
+    arbo = ArboNE(dp, one, between.bit_length() - 1 if between else None, three, four)
+    object.__setattr__(arbo, "tree", tree)
+    return arbo
 
 
 def family_member(dp: DoublePoset) -> ArboNE | None:
@@ -154,21 +171,17 @@ def _maximum(below, among: int) -> int | None:
 def decompose(arbo: ArboNE) -> ArboDecomposition:
     """Corner trees driving the three counting passes.
 
-    west_tree roots the tree part at `three`, which forces all labels west;
-    inv_west_tree does the same for the swapped orders rooted at `one` and
-    is scanned over the inverse permutation.  For the box pass, each anchor
-    gets one tree of the dangles below it: dangle3_tree and dangle1_tree are
-    rooted at `three` and `one`, and dangle2_tree (None without `two`) at
-    `two`; the spine edges are left out.
+    west_tree roots arbo.tree at `three`, which forces all labels west;
+    inv_west_tree, the swapped orders rooted at `one`, is its rooting at `one`
+    transposed and is scanned over the inverse permutation.  For the box
+    pass, each anchor gets one tree of the dangles below it: dangle3_tree and
+    dangle1_tree are rooted at `three` and `one`, and dangle2_tree (None
+    without `two`) at `two`; the spine edges are left out.
     """
-    rest = [v for v in range(arbo.n) if v != arbo.four]
-    idx = {v: i for i, v in enumerate(rest)}
-    t = arbo.dp.restrict(rest)
-    i1, i3 = idx[arbo.one], idx[arbo.three]
-    i2 = idx[arbo.two] if arbo.two is not None else None
-
-    west_tree = snpolytree_to_ct(dp_to_snpolytree(t), i3)
-    inv_west_tree = snpolytree_to_ct(dp_to_snpolytree(swap(t)), i1)
+    i1, i2, i3 = (None if v is None else v - (v > arbo.four)
+                  for v in (arbo.one, arbo.two, arbo.three))
+    west_tree = snpolytree_to_ct(arbo.tree, i3)
+    inv_west_tree = _transposed(snpolytree_to_ct(arbo.tree, i1))
     assert west_tree.labels() <= {"NW", "SW"}
     assert inv_west_tree.labels() <= {"NW", "SW"}
 
@@ -293,7 +306,7 @@ def _gated_pass(pi: Permutation, arbo: ArboNE, m: int, method: str,
         from . import _fast
 
         fast = _fast.count_type_b_not_a if type_b else _fast.count_type_a
-        return fast(pi, tree, m, morphism_bound(arbo.dp, n))
+        return fast(pi, tree, m, morphism_bound(arbo, n))
     g = (pi.inverse() if type_b else pi).zero_indexed()
     return sum(_gated_block(g, tree, r, m, type_b) for r in range(m, n, m))
 
@@ -319,7 +332,7 @@ def count_box(pi: Permutation, arbo: ArboNE, m: int, method: str = "auto") -> in
     if method != "exact":
         from . import _fast
 
-        return _fast.count_box(pi, dec, m, morphism_bound(arbo.dp, n))
+        return _fast.count_box(pi, dec, m, morphism_bound(arbo, n))
     vals = pi.zero_indexed()
     inv = pi.inverse().zero_indexed()
 
@@ -379,25 +392,15 @@ def build_arbo(with_two: bool, dangle_parents: tuple[int, ...] = ()) -> ArboNE:
     """
     spine = [0, 1, 2] if with_two else [0, 1]
     four = len(spine)
-    n = four + 1 + len(dangle_parents)
-    west = []
-    south = []
-    for lo, hi in zip(spine, spine[1:]):
-        west.append((lo, hi))
-        south.append((hi, lo))
-    for v in range(four):
-        west.append((v, four))
-        south.append((v, four))
-    next_id = four + 1
-    for parent in dangle_parents:
-        if not 0 <= parent < next_id or parent == four:
+    # The Hasse pairs (ArboNE.covers): the tree's edges, three and one below four.
+    west = [*zip(spine, spine[1:]), (four - 1, four)]
+    south = [*zip(spine[1:], spine), (0, four)]
+    for node, parent in enumerate(dangle_parents, four + 1):
+        if not 0 <= parent < node or parent == four:
             raise ValueError(f"dangle parent {parent} is not an earlier non-top element")
-        west.append((next_id, parent))
-        south.append((next_id, parent))
-        west.append((next_id, four))
-        south.append((next_id, four))
-        next_id += 1
-    return validate_arbo(double_poset(n, west, south))
+        west.append((node, parent))
+        south.append((node, parent))
+    return validate_arbo(double_poset(four + 1 + len(dangle_parents), west, south))
 
 
 def bare_3214() -> ArboNE:

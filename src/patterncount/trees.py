@@ -32,11 +32,11 @@ from .core import (
     _is_tree,
     # Unused here; perfbench's tracer wraps trees.canonical_form.
     canonical_form,  # noqa: F401
-    classify,
     double_poset,
 )
 
 CORNER_LABELS = ("NE", "NW", "SE", "SW")
+_TRANSPOSED = {"NE": "NE", "NW": "SE", "SE": "NW", "SW": "SW"}
 SN_LABELS = ("S", "N")
 
 
@@ -198,13 +198,26 @@ def snpolytree_to_dp(t: SNPolytree) -> DoublePoset:
 
 def dp_to_snpolytree(d: DoublePoset) -> SNPolytree:
     """Inverse of snpolytree_to_dp, defined on twin tree double posets."""
-    if not classify(d).is_twin_tree:
-        raise NotTwinTree("double poset is not a twin tree")
+    return covers_to_snpolytree(d.n, d.west.covers(), d.south.covers())
+
+
+def covers_to_snpolytree(k: int, west, south) -> SNPolytree:
+    """Inverse of SNPolytree.covers: the twin tree on 0..k-1 whose west and
+    south Hasse pairs (lower, upper) are west and south, or NotTwinTree."""
+    south = set(south)
     # Each west cover a <_West b is also a south cover, one way or the
     # other (twin); the arrow targets a, labelled by where a sits southwards.
-    edges = tuple((b, a, "S" if d.south.above[a] >> b & 1 else "N")
-                  for a, b in d.west.covers())
-    return SNPolytree(tuple(range(d.n)), edges)
+    edges = tuple((b, a, "S" if (a, b) in south else "N") for a, b in west)
+    if len(south) != len(edges) or not _is_tree(range(k), west) or any(
+            (a, b) not in south and (b, a) not in south for a, b in west):
+        raise NotTwinTree("double poset is not a twin tree")
+    return SNPolytree(tuple(range(k)), edges)
+
+
+def _transposed(tree: CornerTree) -> CornerTree:
+    """The tree in the plane with its two coordinates exchanged."""
+    return CornerTree(tree.root, tuple((parent, child, _TRANSPOSED[label])
+                                       for parent, child, label in tree.edges))
 
 
 # The most elements that the enumerations here and in algebra take.

@@ -366,6 +366,35 @@ def test_validate_takes_a_member_as_it_stands(monkeypatch, write, capsys):
         assert len(calls) == member
 
 
+def test_a_deep_member_document_restricts_no_double_poset(monkeypatch, write,
+                                                          capsys):
+    # The 604-element deep member, as an arbo_ne and as a double_poset
+    # document: validate and count read its tree off its Hasse pairs, and
+    # nothing restricts a double poset.
+    from patterncount import core
+
+    def refused(*args):
+        raise AssertionError("a double poset was restricted")
+
+    monkeypatch.setattr(core.DoublePoset, "restrict", refused)
+    doc = arbo_doc(build_arbo(True, (0, 4, *range(5, 603))))
+    plain = dict(doc, type="double_poset")
+    del plain["anchors"]
+    perm_file = write("p.txt", "3 1 2 5 4")
+    for i, tree_doc in enumerate((doc, plain)):
+        tree_file = write(f"m{i}.json", tree_doc)
+        assert main(["validate", "--tree", tree_file]) == 0
+        assert capsys.readouterr() == (
+            "elements: 604\ntwin: false\ntree: true\ntwin_tree: false\n"
+            "permutation: false\narbo_ne: valid\n", "")
+        assert main(["count", "--json", "--perm", perm_file,
+                     "--tree", tree_file]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert {k: v for k, v in json.loads(out).items() if k != "elapsed_ms"} \
+            == {"count": 0, "algorithm": "block", "n": 5, "block_size": 3}
+
+
 def _refuse_closure(monkeypatch):
     from patterncount import core
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patterncount import _fast
+from patterncount import _fast, core
 
 from patterncount.core import (
     DoublePoset,
@@ -20,11 +20,15 @@ from patterncount.core import (
     naive_pattern_count,
     perm,
     perm_to_dp,
+    relabel,
     swap,
 )
-from patterncount.counting import count_morphisms_into_perm, naive_morphism_count
-from patterncount.trees import CornerTree, enumerate_snpolytrees, snpolytree_to_dp
+from patterncount.counting import (count, count_morphisms_into_perm,
+                                   naive_morphism_count)
+from patterncount.trees import (CornerTree, dp_to_snpolytree, enumerate_snpolytrees,
+                                snpolytree_to_ct, snpolytree_to_dp)
 from patterncount.gen3214 import (
+    ArboDecomposition,
     ArboNE,
     BadSpine,
     NoGlobalMax,
@@ -40,6 +44,7 @@ from patterncount.gen3214 import (
     family_member,
     level5_arbos,
     validate_arbo,
+    _subtree,
 )
 from tests.test_core import random_perm
 
@@ -202,12 +207,9 @@ def _anchor_choices(dp):
     return out
 
 
-def test_validate_accepts_exactly_the_family():
-    # Every twin tree with at most 5 nodes plus a top, and the swap and anti
-    # images: validate_arbo accepts exactly the family members, and the
-    # anchors it derives are the one choice the exhaustive search accepts.
-    members = _members_up_to(6)
-    assert len(members) == 33
+def _trees_plus_a_top():
+    """Every twin tree with at most 5 nodes plus a top, and the swap and anti
+    images of each."""
     posets = []
     for k in range(1, 6):
         for tree in enumerate_snpolytrees(k):
@@ -216,6 +218,16 @@ def test_validate_accepts_exactly_the_family():
                 StrictPoset(k + 1, p.pairs | {(v, k) for v in range(k)})
                 for p in (t.west, t.south)))
             posets += [dp, swap(dp), anti(dp)]
+    return posets
+
+
+def test_validate_accepts_exactly_the_family():
+    # Every twin tree with at most 5 nodes plus a top, and the swap and anti
+    # images: validate_arbo accepts exactly the family members, and the
+    # anchors it derives are the one choice the exhaustive search accepts.
+    members = _members_up_to(6)
+    assert len(members) == 33
+    posets = _trees_plus_a_top()
     assert len(posets) == 1188
     accepted = []
     for dp in posets:
@@ -230,6 +242,89 @@ def test_validate_accepts_exactly_the_family():
         accepted.append(dp)
     assert len(accepted) == 66
     assert {canonical_form(dp) for dp in accepted} == members
+
+
+def _relabeled(rng, arbo):
+    """arbo's double poset under a random relabeling, and the relabeling."""
+    image = list(range(arbo.n))
+    rng.shuffle(image)
+    return relabel(arbo.dp, image), image
+
+
+def _decompose_by_restriction(arbo):
+    """decompose by the double poset of the rest: a twin-tree rooting of it
+    at three and of its swap at one, and the dangle subtrees of the first."""
+    rest = [v for v in range(arbo.n) if v != arbo.four]
+    idx = {v: i for i, v in enumerate(rest)}
+    t = arbo.dp.restrict(rest)
+    i1, i2, i3 = idx[arbo.one], idx.get(arbo.two), idx[arbo.three]
+    west_tree = snpolytree_to_ct(dp_to_snpolytree(t), i3)
+    return ArboDecomposition(
+        west_tree, snpolytree_to_ct(dp_to_snpolytree(swap(t)), i1),
+        _subtree(west_tree, i3, skip=i1 if i2 is None else i2),
+        _subtree(west_tree, i1),
+        None if i2 is None else _subtree(west_tree, i2, skip=i1))
+
+
+def test_members_with_the_top_anywhere():
+    # Relabeled members put `four` at any index: validate_arbo reads the
+    # relabeled anchors, decompose matches the restriction reference, and
+    # the block count equals the unrelabeled member's.
+    rng = random.Random(53)
+    tops = set()
+    for _ in range(80):
+        arbo = random_arbo(rng, max_extra=rng.randint(0, 9))
+        dp, image = _relabeled(rng, arbo)
+        moved = validate_arbo(dp)
+        assert (moved.one, moved.two, moved.three, moved.four) == (
+            image[arbo.one], None if arbo.two is None else image[arbo.two],
+            image[arbo.three], image[arbo.four])
+        tops.add((moved.four, moved.n))
+        assert decompose(moved) == _decompose_by_restriction(moved)
+        assert decompose(arbo) == _decompose_by_restriction(arbo)
+        pi = random_perm(rng, rng.randint(1, 14))
+        m = rng.randint(1, 5)
+        expected = count_gen_3214(pi, arbo, m, "exact")
+        for method in ("auto", "exact"):
+            assert count_gen_3214(pi, moved, m, method) == expected
+    assert sum(four not in (n - 1, 2, 3) for four, n in tops) > 20
+
+
+def test_a_member_reduces_no_order_after_validation(monkeypatch):
+    # validate_arbo reduces each order once; a count, the bound and classify
+    # read the member's tree, so a DoublePoset member costs those two
+    # reductions and an ArboNE none.
+    rng = random.Random(59)
+    members = [dp for dp in _trees_plus_a_top() if family_member(dp)]
+    assert len(members) == 66
+    for _ in range(20):
+        arbo = random_arbo(rng, max_extra=26)
+        members += [arbo.dp, _relabeled(rng, arbo)[0]]
+    real = core.transitive_reduction
+    calls = []
+    monkeypatch.setattr(core, "transitive_reduction",
+                        lambda p: calls.append(p) or real(p))
+    for dp in members:
+        pi = random_perm(rng, rng.randint(1, 12))
+        calls.clear()
+        arbo = validate_arbo(dp)
+        assert len(calls) == 2
+        for algorithm in ("auto", "block"):
+            decompose.cache_clear()
+            calls.clear()
+            result = count(dp, pi, algorithm)
+            assert result.algorithm == "block" and len(calls) == 2
+            decompose.cache_clear()
+            calls.clear()
+            assert count(arbo, pi, algorithm) == result
+            assert calls == []
+        decompose.cache_clear()
+        assert count_gen_3214(pi, arbo, method="exact") == result.count
+        bound, flags = morphism_bound(arbo, pi.n), classify(arbo)
+        assert calls == []
+        assert bound == morphism_bound(dp, pi.n) and flags == classify(dp)
+        assert tuple(map(set, arbo.covers())) == (dp.west.covers(),
+                                                  dp.south.covers())
 
 
 def test_two_absent():
