@@ -9,20 +9,24 @@ reorganized so numpy does the work:
   with smaller key" (the SW sum) for the whole sequence at once.  Each
   level splits aligned runs of sequence indices, sorted by key, into their
   lower and upper halves; it gathers x at the lower halves only, takes one
-  in-run cumsum of them and adds each upper-half point's prefix to its sum.
+  in-run cumsum of them (as h adds over all runs while the halves hold
+  h <= 4 points) and adds each upper-half point's prefix to its sum.
   The other three quadrants follow from it:
   NW = position prefix - SW, SE = key prefix - SW, and
   NE = total - x - position prefix - key prefix + SW, where the position
   prefix sums x over earlier points and the key prefix sums x over smaller
   keys.  The scan runs on any prefix of the sequence, reading only the
-  leading runs of each level, and reads the prefix in place.
+  leading runs of each level, and reads the prefix in place; x may carry a
+  trailing batch axis of columns, each summed as its own scan would be.
   count_corner_trees runs it on a whole permutation for a batch of trees
   (_Forest): each distinct (child subtree, label) pair is valued once per
   modulus, and the edges out of one child share its SW sums.  Types A and
   B share one gated pass, over positions for type A and over values for
   type B; it builds one schedule whose sequence follows the gate
-  coordinate, so each block's gated points are a prefix of it, and scans
-  only that prefix for each block.
+  coordinate, so each block's gated points are a prefix of it.  It scans
+  consecutive blocks in groups of at most _GATE_CELLS cells: one scan of
+  the prefix of a group's last block, with one column per block, zeroed
+  past that block's own gate, pays the scan's fixed cost once per group.
 * The box pass weighs its triples with the root values of one dangle tree
   per anchor, each from one scan of the whole permutation.  It takes one
   position block at a time: it lists the block's (four, three, one)
@@ -49,9 +53,10 @@ schedule serves every modulus, every tree and every later pass on the same
 Permutation object.  The slot empties before it is filled for another
 object, and when its permutation is garbage-collected.  At n = 100 000 it
 holds 10.8 MB with the schedule on p alone (corner trees) and 21.5 MB with
-both schedules (a family member).  Only data derived from the permutation is
-kept: counts, root values and subtree values are computed afresh by every
-call.
+both schedules (a family member), and each schedule keeps the key order of
+the last prefix it scanned, at most 0.4 MB.  Only data derived from the
+permutation is kept: counts, root values and subtree values are computed
+afresh by every call.
 """
 
 from __future__ import annotations
@@ -162,9 +167,11 @@ class _SplitSchedule:
         t = len(keys)
         size = 1 << max(t - 1, 0).bit_length()
         self.t = t
+        self._keys = keys
         # The key order, padded with the keys t..size-1 in their own slots.
         self._order0 = np.arange(size, dtype=np.int32)
         self._order0[keys] = np.arange(t, dtype=np.int32)
+        self._last_order = (t, self._order0[:t])
         ones = np.zeros(size, dtype=np.int32)
         order = self._order0
         self._levels = []
@@ -200,7 +207,8 @@ class _SplitSchedule:
     def dominance_smaller(self, x: np.ndarray, q: int) -> np.ndarray:
         """z[i] = sum of x[j] over j < i with key[j] < key[i], in the ring
         of modulus q, for the first stop = len(x) points of the sequence; x
-        must be reduced.
+        must be reduced.  x may carry a trailing batch axis, whose columns
+        are summed independently, as separate calls would sum them.
 
         The prefix lies in the first runs = ceil(stop / 2h) runs of each
         level, which lead the level's arrays and end by span, and a level
@@ -211,46 +219,81 @@ class _SplitSchedule:
         past stop has all of its rights past stop as well, so a clipped
         read only lands in z entries that z[:stop] drops.
         """
-        stop = len(x)
+        stop, batch = len(x), x.shape[1:]
         span = 1 << (stop - 1).bit_length()  # every read run ends by span
-        z = np.zeros(span, dtype=np.int64)
-        table = np.empty(span, dtype=np.int64)
+        z = np.zeros((span, *batch), dtype=np.int64)
+        table = np.empty((span, *batch), dtype=np.int64)
         for h, lefts, at in self._levels:
             if h >= stop:
                 continue
             runs = -(-stop // (2 * h))
             k = runs * h
-            cx = table[:runs * (h + 1)].reshape(-1, h + 1)
+            cx = table[:runs * (h + 1)].reshape(runs, h + 1, *batch)
             cx[:, 0] = 0
-            np.cumsum(x.take(lefts[:k], mode="clip").reshape(-1, h), axis=1,
-                      out=cx[:, 1:])
-            z[:2 * k].reshape(runs, 2 * h)[:, h:] += \
-                table.take(at[:k]).reshape(runs, h)
+            xs = x.take(lefts[:k], axis=0, mode="clip").reshape(runs, h, *batch)
+            if h > 4:
+                np.cumsum(xs, axis=1, out=cx[:, 1:])
+            else:  # h adds over all runs cost less than a cumsum per run
+                for i in range(h):
+                    np.add(cx[:, i], xs[:, i], out=cx[:, i + 1])
+            del xs
+            z[:2 * k].reshape(runs, 2 * h, *batch)[:, h:] += \
+                table.take(at[:k], axis=0).reshape(runs, h, *batch)
         # A table entry sums at most h reduced values of one run, and each
         # z[i] sums fewer than stop reduced values over all levels, so it
         # stays below stop * q.
         return _mod(z[:stop], q)
 
+    def _key_order(self, stop: int) -> np.ndarray:
+        """The sequence indices below stop, in key order.  One scan asks for
+        the same stop several times, so the last one is kept."""
+        last = self._last_order
+        if last[0] != stop:
+            order = self._order0[:self.t]
+            if stop < self.t:
+                order = np.compress(order < stop, order)
+            last = self._last_order = (stop, order)
+        return last[1]
+
     def key_prefix(self, x: np.ndarray) -> np.ndarray:
         """s[i] = sum of x[j] over every j < len(x) with key[j] < key[i],
-        unreduced."""
-        stop = len(x)
-        order = self._order0[:self.t]
-        if stop < self.t:
-            order = np.compress(order < stop, order)
-        s = x.take(order)  # x in key order
-        before = np.cumsum(s)
+        unreduced.  x may carry a trailing batch axis, whose columns are
+        summed independently."""
+        order = self._key_order(len(x))
+        s = x.take(order, axis=0)  # x in key order
+        before = np.cumsum(s, axis=0)
         before -= s
         s[order] = before  # back in sequence order
         return s
 
+    def key_prefix_at(self, x: np.ndarray, at: np.ndarray,
+                      block: int = 0) -> np.ndarray:
+        """The sum of x[j] over every j < len(x) with key[j] < key[i], for
+        each sequence index i in at, which may lie past len(x); with
+        block > 0, only over the key[j] in key[i]'s own block of keys, at or
+        above key[i] - key[i] % block.  Unreduced; x may carry a trailing
+        batch axis, and each read then has one sum per column.
 
-def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None,
-                 sw: np.ndarray, label: str, q: int) -> np.ndarray:
+        It reads the cumsum of x in key order where a key would enter it,
+        so it writes nothing back in sequence order.
+        """
+        order = self._key_order(len(x))
+        kept = self._keys.take(order)  # in increasing order
+        sums = np.zeros((len(order) + 1, *x.shape[1:]), dtype=np.int64)
+        np.cumsum(x.take(order, axis=0), axis=0, out=sums[1:])
+        keys = self._keys.take(at)
+        out = sums.take(np.searchsorted(kept, keys), axis=0)
+        if block:
+            out -= sums.take(np.searchsorted(kept, keys - keys % block), axis=0)
+        return out
+
+
+def _corner_sums(schedule: _SplitSchedule, x: np.ndarray, sw: np.ndarray,
+                 label: str, q: int) -> np.ndarray:
     """Sum of x over the points in each point's label quadrant, among the
     first stop = len(sw) points of the sequence, reduced, given their SW
-    sums sw: schedule.ones_smaller(stop) for x None, which stands for all
-    ones, else schedule.dominance_smaller(x, q).
+    sums sw (schedule.dominance_smaller(x, q), or the all-ones sums for
+    x all ones); x may carry a trailing batch axis, and sw then too.
 
     Every quadrant comes from the SW sums and the position and key prefix
     sums; each term sums at most stop reduced values, so it stays below
@@ -258,19 +301,17 @@ def _corner_sums(schedule: _SplitSchedule, x: np.ndarray | None,
     """
     if label == "SW":
         return sw
-    if x is None:
-        x = np.ones(len(sw), dtype=np.int64)
     if label == "SE":
         out = schedule.key_prefix(x)
     else:
-        out = np.cumsum(x)
+        out = np.cumsum(x, axis=0)
         out -= x  # the position prefix
         if label == "NE":
             out += schedule.key_prefix(x)
             out += x
     out -= sw
     if label == "NE":  # total - x - position prefix - key prefix + SW
-        np.subtract(x.sum(), out, out=out)
+        np.subtract(x.sum(axis=0), out, out=out)
     return _mod(out, q)
 
 
@@ -307,13 +348,27 @@ class _Forest:
         self.value_reads.update(self.root_ids)
 
     def root_values(self, schedule: _SplitSchedule, q: int, stop: int,
-                    reduce=lambda x: x) -> list:
+                    reduce=lambda x: x, live: np.ndarray | None = None) -> list:
         """reduce(placements of each tree rooted at each of the first stop
         sequence points, using those points only, reduced), in tree order.
+
+        With live, a (stop, g) array of zeros and ones whose column j is one
+        on a prefix of the points, every value carries a trailing axis of g
+        columns, and column j counts with the points of its prefix only and
+        is zero past it: each subtree's values are zeroed there, so the sums
+        that read later points (key prefixes and totals) read zeros.  A
+        leaf's SW sums are those of all ones, exact on every column's prefix.
 
         No local name holds an array past its last use, so the peak memory
         is that of the values still to be read.
         """
+        def ones():  # a leaf's values
+            return np.ones(stop, dtype=np.int64) if live is None else live
+
+        def ones_sw():  # their SW sums, which cost little
+            sw = schedule.ones_smaller(stop)
+            return sw if live is None else sw[:, None]
+
         edge_reads, value_reads = Counter(self.edge_reads), Counter(self.value_reads)
         edges: dict = {}
         values: dict = {}
@@ -326,16 +381,15 @@ class _Forest:
                     z = edges[edge]
                 else:
                     child, label = edge
-                    if child not in sws:
-                        sws[child] = (
-                            schedule.ones_smaller(stop)
-                            if values[child] is None
-                            else schedule.dominance_smaller(values[child], q))
-                    z = _corner_sums(schedule, values[child], sws[child],
-                                     label, q)
+                    if values[child] is None:  # a leaf
+                        z = _corner_sums(schedule, ones(), ones_sw(), label, q)
+                    else:
+                        if child not in sws:
+                            sws[child] = schedule.dominance_smaller(
+                                values[child], q)
+                        z = _corner_sums(schedule, values[child], sws[child],
+                                         label, q)
                     value_reads[child] -= 1
-                    if values[child] is None:  # a point's SW sums cost little
-                        del sws[child]
                     if not value_reads[child]:
                         del values[child]
                         sws.pop(child, None)
@@ -345,9 +399,10 @@ class _Forest:
                 else:
                     edges.pop(edge, None)
                 x = z if x is None else _mod(x * z, q)
+            if x is not None and live is not None:
+                x = x * live
             if s in self.root_ids:
-                out[s] = reduce(np.ones(stop, dtype=np.int64) if x is None
-                                else x)
+                out[s] = reduce(ones() if x is None else x)
                 value_reads[s] -= 1
             if value_reads[s]:
                 values[s] = x
@@ -426,10 +481,32 @@ def count_type_b_not_a(pi: Permutation, inv_west_tree: CornerTree, m: int,
     return _gated_pass(pi, inv_west_tree, m, bound, own_block=True)
 
 
+_GATE_CELLS = 1 << 14  # rows times columns of one gated scan, at most,
+# unless one block alone exceeds it
+
+
+def _gate_groups(n: int, m: int):
+    """The gates r = m, 2m, ... below n, as arrays of consecutive gates.
+
+    A group's scan has one column per gate and, with its last gate's
+    candidates, min(last + m, n) rows; a group takes as many gates as keep
+    that under _GATE_CELLS cells, and at least one.
+    """
+    gates = range(m, n, m)
+    i = 0
+    while i < len(gates):
+        g = 1
+        while (i + g < len(gates)
+               and min(gates[i + g] + m, n) * (g + 1) <= _GATE_CELLS):
+            g += 1
+        yield np.array(gates[i:i + g], dtype=np.int64)
+        i += g
+
+
 def _gated_pass(pi: Permutation, tree: CornerTree, m: int, bound: int,
                 own_block: bool) -> int:
-    """One gated scan per block of gate coordinates, given a count at most
-    bound.
+    """One gated scan per group of blocks of gate coordinates, given a
+    count at most bound.
 
     A point has a scan index s and a gate coordinate v, and scan[v] = s.
     For the block [r, r + m) the points with v < r feed the tree scan, and
@@ -440,31 +517,42 @@ def _gated_pass(pi: Permutation, tree: CornerTree, m: int, bound: int,
 
     The one schedule is built on scan, so its sequence follows the gate
     coordinate and its key is the scan index: each gated set is the
-    sequence prefix [0, r), and each block scans that prefix alone.  The
-    two coordinates trade places, so the tree's NW and SE labels do too.
-    A candidate reads the prefix sums of the root values in scan order at
-    its own scan index, less the read at its block start with own_block.
+    sequence prefix [0, r).  A group of consecutive blocks (_gate_groups)
+    scans the prefix of its last block once, with one column per block,
+    and column j, of gate r_j, is one on [0, r_j) and zero past it at the
+    leaves.  Every subtree's values are zeroed past their column's gate as
+    well, so a row past it never reaches another row's sum: the SW sums and
+    the position prefix of a row read only earlier rows, and the key
+    prefixes and totals read zeros there.  Each column therefore equals the
+    one-block scan of its own prefix, in every ring.  The two coordinates
+    trade places, so the tree's NW and SE labels do too.
+
+    A candidate reads its column's root values summed over the gated points
+    of smaller scan index (key_prefix_at), and with own_block only over
+    those in its own block of scan indices; the last block's candidates lie
+    past the scanned prefix, which that read allows.
     """
     data = _perm_data(pi)
-    if own_block:
-        scan, schedule = data.p, data.p_schedule
-    else:
-        scan, schedule = data.ip, data.ip_schedule
-    n = len(scan)
+    schedule = data.p_schedule if own_block else data.ip_schedule
+    n = pi.n
     forest = _Forest([_transposed(tree)])
     moduli = _moduli(bound)
     totals = [0] * len(moduli)
-    by_scan = np.zeros(n, dtype=np.int64)  # root values by scan index
-    for r in range(m, n, m):
-        cand = scan[r:min(r + m, n)]
+    for gates in _gate_groups(n, m):
+        g, r0, r = len(gates), int(gates[0]), int(gates[-1])
+        # A lone block's gate is the scan's stop, so it needs no mask.
+        live = (np.arange(r)[:, None] < gates).astype(np.int64) if g > 1 \
+            else None
+        # The candidate rows [r0, r + m), each read in its block's column.
+        v = np.arange(r0, min(r + m, n))
+        cols = (v - r0) // m
         for k, q in enumerate(moduli):
-            # The gated sets grow with r, so this overwrites every entry
-            # that an earlier block wrote.
-            by_scan[scan[:r]] = forest.root_values(schedule, q, r)[0]
-            croots = _prefix_sums(by_scan, q)
-            totals[k] += int(croots[cand].sum())
-            if own_block:
-                totals[k] -= int(croots[cand - cand % m].sum())
+            reads = schedule.key_prefix_at(
+                forest.root_values(schedule, q, r, live=live)[0].reshape(r, g),
+                v, m if own_block else 0)
+            # Each read sums fewer than n reduced values, so it stays below
+            # n * q; a group sums at most g * m reads once they are reduced.
+            totals[k] += int(_mod(reads[np.arange(len(v)), cols], q).sum())
     return _crt(totals, moduli)
 
 

@@ -8,7 +8,8 @@ the value order, which is what makes pattern occurrences come out as maps
 preserving both orders.
 
 Each StrictPoset also keeps its order as bitmasks, ``above[e]`` and
-``below[e]`` (the elements greater and less than e), which its readers use.
+``below[e]`` (the elements greater and less than e), which its readers use,
+and its cover pairs once covers() has reduced it.
 
 _iter_morphisms is the one search for such maps (double poset morphisms)
 behind the counting oracle, the epimorphism counts and the morphism
@@ -109,7 +110,8 @@ class StrictPoset:
     """A strict partial order: asymmetric and transitive pairs on 0..n-1.
 
     Bit b of the read-only mask above[a], and bit a of below[b], is set iff
-    a < b; the masks are not fields, so ==, hash and repr ignore them."""
+    a < b.  covers() reduces the order once and keeps the result.  The masks
+    and the covers are not fields, so ==, hash and repr ignore them."""
 
     n: int
     pairs: frozenset[tuple[int, int]]
@@ -138,7 +140,11 @@ class StrictPoset:
         return 2 * len(self.pairs) == self.n * (self.n - 1)
 
     def covers(self) -> frozenset[tuple[int, int]]:
-        return transitive_reduction(self)
+        covers = self.__dict__.get("_covers")
+        if covers is None:
+            covers = transitive_reduction(self)
+            object.__setattr__(self, "_covers", covers)
+        return covers
 
     def reversed(self) -> "StrictPoset":
         return StrictPoset(self.n, frozenset((b, a) for a, b in self.pairs))

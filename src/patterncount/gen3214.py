@@ -19,15 +19,20 @@ grid of position and value blocks of width m, into three disjoint types:
 
 The type-A/B passes cost about (n/m) * n * log n: each value or position
 block reruns one scan of the points on one side of it, which are a prefix of
-one shared schedule, so about n^2 / (2m) points are scanned in all.  The box
+one shared schedule, so about n^2 / (2m) points are scanned in all.  The
+numpy passes scan consecutive blocks together, as the columns of one scan
+of the prefix of the group's last block: a group pays a scan's fixed cost
+once, and its earlier columns scan a few points past their own gates.  A
+group holds at most _fast._GATE_CELLS points times columns, so once a
+prefix alone is half that size, each group is one block.  The box
 pass costs about n * m^2: it pairs every candidate `four` with the `three` and
 `one` candidates of its own blocks.  With m proportional to n^(1/3) the
 total work is ~n^(5/3) up to logs; default_block_size picks the constant.
 
 Type B is type A with positions and values exchanged, so both passes run
-one gated scan per block, over positions for type A and over values for
-type B.  For the box, each of `one`, `two` and `three` carries one tree of
-the dangles below it (see decompose).
+one gated scan per block (per group of blocks in numpy), over positions
+for type A and over values for type B.  For the box, each of `one`, `two`
+and `three` carries one tree of the dangles below it (see decompose).
 
 method="auto" and "fast" run the numpy passes of the _fast module, which
 handle one position block at a time and are exact under the a-priori bound

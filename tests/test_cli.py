@@ -366,6 +366,25 @@ def test_validate_takes_a_member_as_it_stands(monkeypatch, write, capsys):
         assert len(calls) == member
 
 
+def test_validate_reduces_each_order_once(monkeypatch, write, capsys):
+    # classify and the member test of a double_poset document share each
+    # order's covers; an arbo_ne document reduces its orders on load only.
+    from patterncount import core
+
+    calls = []
+    real = core.transitive_reduction
+    monkeypatch.setattr(core, "transitive_reduction",
+                        lambda p: calls.append(p) or real(p))
+    doc = arbo_doc(build_arbo(True, (0, 4, 2)))
+    plain = dict(doc, type="double_poset")
+    del plain["anchors"]
+    for tree_doc in (doc, plain):
+        calls.clear()
+        assert main(["validate", "--tree", write("a.json", tree_doc)]) == 0
+        assert "arbo_ne: valid" in capsys.readouterr().out
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
+
 def test_a_deep_member_document_restricts_no_double_poset(monkeypatch, write,
                                                           capsys):
     # The 604-element deep member, as an arbo_ne and as a double_poset

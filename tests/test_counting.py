@@ -316,6 +316,49 @@ def test_every_prefix_sums_match_quadratic_sums(t):
             assert schedule.ones_smaller(stop).tolist() == ones[:stop], stop
 
 
+@pytest.mark.parametrize("t", [1, 2, 5, 8, 9, 17, 33, 64, 65])
+def test_batch_axis_sums_equal_column_calls(t):
+    # On (stop, g) input, dominance_smaller, key_prefix and key_prefix_at
+    # equal g one-column calls, column by column, at every stop and in both
+    # rings.  Column j is nonzero on a prefix of its own and zero past it,
+    # as a gated scan's columns are; the first column fills the whole stop
+    # and another none of it.  key_prefix_at reads every index, past the
+    # stop too, with and without blocks of keys, against quadratic sums.
+    rng = random.Random(700 + t)
+    keys = list(range(t))
+    rng.shuffle(keys)
+    schedule = _fast._SplitSchedule(np.array(keys, dtype=np.int64))
+    every = np.arange(t)
+    for q in (2 ** 64, _fast._moduli(2 ** 64)[1]):
+        for stop in range(t + 1):
+            ends = [stop, 0, *(rng.randint(0, stop) for _ in range(3))]
+            x = np.array([[rng.randrange(1, min(q, 2 ** 63)) if i < end else 0
+                           for end in ends] for i in range(stop)],
+                         dtype=np.int64).reshape(stop, len(ends))
+            smaller, below = schedule.dominance_smaller(x, q), \
+                schedule.key_prefix(x)
+            reads = [(b, schedule.key_prefix_at(x, every, b))
+                     for b in (0, 1, 3, t)]
+            for j, end in enumerate(ends):
+                col = x[:, j].copy()
+                assert smaller[:, j].tolist() == \
+                    schedule.dominance_smaller(col, q).tolist(), (stop, j, q)
+                # The column's own prefix alone gives its leading sums.
+                assert smaller[:end, j].tolist() == \
+                    schedule.dominance_smaller(col[:end], q).tolist()
+                assert below[:, j].tolist() == \
+                    schedule.key_prefix(col).tolist(), (stop, j, q)
+                assert reads[0][1][:stop, j].tolist() == below[:, j].tolist()
+                for b, sums in reads:
+                    assert sums[:, j].tolist() == \
+                        schedule.key_prefix_at(col, every, b).tolist()
+                    low = [k - k % b if b else 0 for k in keys]
+                    assert [v % q for v in sums[:, j].tolist()] == [
+                        sum(int(col[i]) for i in range(stop)
+                            if lo <= keys[i] < k) % q
+                        for k, lo in zip(keys, low)], (stop, j, b)
+
+
 def _fenwick_smaller(keys, x):
     """z[i] = sum of x[j] over j < i with keys[j] < keys[i], by one SumTree scan."""
     tree, z = SumTree(len(keys)), []

@@ -291,40 +291,45 @@ def test_members_with_the_top_anywhere():
 
 
 def test_a_member_reduces_no_order_after_validation(monkeypatch):
-    # validate_arbo reduces each order once; a count, the bound and classify
-    # read the member's tree, so a DoublePoset member costs those two
-    # reductions and an ArboNE none.
+    # An order keeps its covers once reduced, so no order is reduced twice:
+    # not by building and validating members, and not by a count, the bound
+    # or classify after validation, of the DoublePoset or of its ArboNE.
+    # A member on new orders costs validate_arbo one reduction of each.
+    real = core.transitive_reduction
+    calls = []
+    monkeypatch.setattr(core, "transitive_reduction",
+                        lambda p: calls.append(p) or real(p))
     rng = random.Random(59)
     members = [dp for dp in _trees_plus_a_top() if family_member(dp)]
     assert len(members) == 66
     for _ in range(20):
         arbo = random_arbo(rng, max_extra=26)
         members += [arbo.dp, _relabeled(rng, arbo)[0]]
-    real = core.transitive_reduction
-    calls = []
-    monkeypatch.setattr(core, "transitive_reduction",
-                        lambda p: calls.append(p) or real(p))
     for dp in members:
         pi = random_perm(rng, rng.randint(1, 12))
-        calls.clear()
+        fresh = DoublePoset(dp.n, *(StrictPoset(dp.n, p.pairs)
+                                    for p in (dp.west, dp.south)))
+        reduced = len(calls)
+        assert validate_arbo(fresh) == validate_arbo(fresh)
+        assert sorted(map(id, calls[reduced:])) == \
+            sorted(map(id, (fresh.west, fresh.south)))
         arbo = validate_arbo(dp)
-        assert len(calls) == 2
+        reduced = len(calls)
         for algorithm in ("auto", "block"):
             decompose.cache_clear()
-            calls.clear()
             result = count(dp, pi, algorithm)
-            assert result.algorithm == "block" and len(calls) == 2
+            assert result.algorithm == "block"
             decompose.cache_clear()
-            calls.clear()
             assert count(arbo, pi, algorithm) == result
-            assert calls == []
         decompose.cache_clear()
         assert count_gen_3214(pi, arbo, method="exact") == result.count
         bound, flags = morphism_bound(arbo, pi.n), classify(arbo)
-        assert calls == []
         assert bound == morphism_bound(dp, pi.n) and flags == classify(dp)
         assert tuple(map(set, arbo.covers())) == (dp.west.covers(),
                                                   dp.south.covers())
+        assert len(calls) == reduced
+    # calls keeps every order it lists alive, so their ids are distinct.
+    assert len(set(map(id, calls))) == len(calls)
 
 
 def test_two_absent():
@@ -685,40 +690,64 @@ def test_one_schedule_per_pass(monkeypatch):
 
 
 def test_gated_scans_read_only_the_prefix(monkeypatch):
-    # Block r of a type-A/B pass may scan its gated points [0, r) and its
-    # candidates [r, r + m) of the schedule's sequence, never the rest: the
-    # scans of the blocks come in block order, the same number for each.
+    # Types A and B scan the blocks in groups of consecutive gates r, in
+    # order, each block once.  A group's scans read at most its last r + m
+    # rows of the schedule's sequence, one column per block, and at most
+    # _GATE_CELLS cells unless the group is one block.  Under the default
+    # cap every group here has many blocks; a cap of 300 cells makes some
+    # groups one block and others many.
     seen = []
 
     class Recorded(_fast._SplitSchedule):
         def ones_smaller(self, stop):
-            seen.append(stop)
+            seen.append((stop, 1))
             return super().ones_smaller(stop)
 
         def dominance_smaller(self, x, q):
-            seen.append(len(x))
+            seen.append((len(x), x[0].size))
             return super().dominance_smaller(x, q)
 
         def key_prefix(self, x):
-            seen.append(len(x))
+            seen.append((len(x), x[0].size))
             return super().key_prefix(x)
 
+        def key_prefix_at(self, x, at, block=0):
+            seen.append((max(len(x), int(at.max()) + 1), x[0].size))
+            return super().key_prefix_at(x, at, block)
+
+    real_groups = _fast._gate_groups
+
+    def recorded_groups(n, m):
+        for gates in real_groups(n, m):
+            seen.append(gates.tolist())
+            yield gates
+
     monkeypatch.setattr(_fast, "_SplitSchedule", Recorded)
+    monkeypatch.setattr(_fast, "_gate_groups", recorded_groups)
     arbo = level5_arbos()[1]
     dec = decompose(arbo)
     pi = random_perm(random.Random(55), 300)
     n, m, bound = pi.n, 7, 1 << 125
-    blocks = range(m, n, m)
     passes = [(_fast.count_type_a, dec.west_tree, count_type_a),
               (_fast.count_type_b_not_a, dec.inv_west_tree, count_type_b_not_a)]
-    for fast, tree, exact in passes:
+    for (fast, tree, exact), cells in itertools.product(
+            passes, (_fast._GATE_CELLS, 300)):
+        monkeypatch.setattr(_fast, "_GATE_CELLS", cells)
         seen.clear()
         assert fast(pi, tree, m, bound) == exact(pi, arbo, m, method="exact")
-        assert seen and len(seen) % len(blocks) == 0, fast.__name__
-        per_block = len(seen) // len(blocks)
-        for i, r in enumerate(blocks):
-            scans = seen[i * per_block:(i + 1) * per_block]
-            assert max(scans) <= r + m, (fast.__name__, r, scans)
+        groups = [i for i, entry in enumerate(seen) if isinstance(entry, list)]
+        assert groups and groups[0] == 0, fast.__name__
+        assert [r for i in groups for r in seen[i]] == list(range(m, n, m))
+        for i, j in zip(groups, groups[1:] + [len(seen)]):
+            gates, scans = seen[i], seen[i + 1:j]
+            assert scans, (fast.__name__, gates)
+            for rows, cols in scans:
+                assert rows <= gates[-1] + m, (fast.__name__, gates, rows)
+                assert cols in (1, len(gates)), (fast.__name__, gates, cols)
+                assert rows * cols <= cells or len(gates) == 1, \
+                    (fast.__name__, gates, rows, cols)
+        sizes = {len(seen[i]) for i in groups}
+        assert (min(sizes) == 1) == (cells == 300) and max(sizes) > 1, sizes
 
 
 def _near_sorted(n, swaps, rng):
@@ -751,6 +780,37 @@ def test_gated_prefix_passes_match_exact_structured_inputs(n):
                 assert _fast.count_type_a(pi, dec.west_tree, m, 1 << 125) == a
                 assert _fast.count_type_b_not_a(pi, dec.inv_west_tree, m,
                                                 1 << 125) == b
+
+
+def _grouped_passes_match_exact(pi, members, block_sizes):
+    for m in block_sizes:
+        for arbo in members:
+            dec = decompose(arbo)
+            a = count_type_a(pi, arbo, m, method="exact")
+            b = count_type_b_not_a(pi, arbo, m, method="exact")
+            assert count_type_a(pi, arbo, m) == a, (pi, arbo, m)
+            assert count_type_b_not_a(pi, arbo, m) == b, (pi, arbo, m)
+            assert _fast.count_type_a(pi, dec.west_tree, m, 1 << 125) == a
+            assert _fast.count_type_b_not_a(pi, dec.inv_west_tree, m,
+                                            1 << 125) == b
+
+
+@pytest.mark.parametrize("n", [23, 37])
+def test_grouped_gated_passes_match_exact(monkeypatch, n):
+    # A cap of 60 cells makes a pass hold groups of one block and of many:
+    # types A and B on identity, reversed, layered and random inputs, for
+    # m = 1, 2, 5 (which divides neither n), n - 1, n and n + 1, under the
+    # member's own bound and under 2^125, which adds two prime passes.
+    monkeypatch.setattr(_fast, "_GATE_CELLS", 60)
+    for m in (1, 2, 5):
+        sizes = {len(gates) for gates in _fast._gate_groups(n, m)}
+        assert min(sizes) == 1 and max(sizes) > 1, (n, m, sizes)
+    rng = random.Random(60 + n)
+    perms = [perm(range(1, n + 1)), perm(range(n, 0, -1)),
+             Permutation(_layered((5, 1, 7, 3, n - 16))), random_perm(rng, n)]
+    members = [bare_3214(), level5_arbos()[1], build_arbo(True, (2, 4))]
+    for pi in perms:
+        _grouped_passes_match_exact(pi, members, (1, 2, 5, n - 1, n, n + 1))
 
 
 def _counting_batches(monkeypatch):
@@ -880,3 +940,15 @@ def test_structured_inputs_match_morphism_count(pi, arbo):
     for m in {1, n - 1, n, n + 1} - {0}:
         assert count_gen_3214(pi, arbo, m) == expected
         assert count_gen_3214(pi, arbo, m, method="exact") == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(pi=structured_perms, arbo=st.sampled_from(LEVEL5_MEMBERS + [
+    build_arbo(True, (0, 0)), build_arbo(True, (2, 4))]))
+def test_grouped_gated_passes_match_exact_structured_inputs(pi, arbo):
+    # Structured inputs of at most 9 points, under a cap of 12 cells: the
+    # gates of the longer ones fall into groups of one block and of several.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_fast, "_GATE_CELLS", 12)
+        _grouped_passes_match_exact(pi, [arbo],
+                                    {1, 2, pi.n - 1, pi.n, pi.n + 1} - {0})
